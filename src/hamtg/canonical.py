@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .gf2 import Gf2Basis
 from .permvec import EdgeVector, PairVector, diagonal, edge_indicator, pair_indicator
@@ -120,6 +120,26 @@ def _check_cap(n: int, cap: Optional[int]) -> None:
         raise OracleScaleError(f"oracle scale exceeded: n={n} > cap={limit}")
 
 
+def _layer_candidates(
+    G: TimeGraph, order: tuple[int, ...], perm_seed: Optional[int]
+) -> Iterator[tuple[int, Permutation, int]]:
+    """(layer, perm, incident mask) for every candidate, layer by layer.
+
+    Layer 0 offers the permutations incident on G; layer l offers those
+    incident on G_l that use e_l.
+    """
+    candidates = [(p, incident_mask(p)) for p in _perm_sequence(G.n, perm_seed)]
+    cur = G.edges
+    for li in range(len(order) + 1):
+        new_bit = 0
+        if li > 0:
+            new_bit = 1 << order[li - 1]
+            cur |= new_bit
+        for p, m in candidates:
+            if m & cur == m and (li == 0 or m & new_bit):
+                yield li, p, m
+
+
 def build_canonical_basis(
     G: TimeGraph,
     order: Optional[Sequence[int]] = None,
@@ -133,29 +153,14 @@ def build_canonical_basis(
     perm_seed is given (the construction is deterministic either way).
     """
     _check_cap(G.n, cap)
-    n = G.n
-    size = edge_space_size(n)
     order = _checked_order(G, order)
-    candidates = [(p, incident_mask(p)) for p in _perm_sequence(n, perm_seed)]
-    basis = Gf2Basis(size)
-    layers = []
-    cur = G.edges
-    for li in range(len(order) + 1):
-        new_bit = 0
-        if li > 0:
-            new_bit = 1 << order[li - 1]
-            cur |= new_bit
-        elems = []
-        for p, m in candidates:
-            if m & cur != m:
-                continue
-            if li > 0 and not (m & new_bit):
-                continue
-            if basis.insert_raw(m).extended:
-                f = EdgeVector.from_raw(n, m)
-                elems.append(BasisElement(li, len(elems), p, f, pair_indicator(p)))
-        layers.append(tuple(elems))
-    return CanonicalBasis(G, order, tuple(layers), perm_seed, basis)
+    basis = Gf2Basis(edge_space_size(G.n))
+    layers: list[list[BasisElement]] = [[] for _ in range(len(order) + 1)]
+    for li, p, m in _layer_candidates(G, order, perm_seed):
+        if basis.insert_raw(m).extended:
+            f = EdgeVector.from_raw(G.n, m)
+            layers[li].append(BasisElement(li, len(layers[li]), p, f, pair_indicator(p)))
+    return CanonicalBasis(G, order, tuple(map(tuple, layers)), perm_seed, basis)
 
 
 @dataclass(frozen=True)
@@ -191,28 +196,14 @@ def build_canonical_pair_basis(
 ) -> CanonicalPairBasis:
     """Same layered construction applied to the pair indicators."""
     _check_cap(G.n, cap)
-    n = G.n
     order = _checked_order(G, order)
-    candidates = [(p, incident_mask(p)) for p in _perm_sequence(n, perm_seed)]
-    basis = Gf2Basis(edge_space_size(n) ** 2)
-    layers = []
-    cur = G.edges
-    for li in range(len(order) + 1):
-        new_bit = 0
-        if li > 0:
-            new_bit = 1 << order[li - 1]
-            cur |= new_bit
-        elems = []
-        for p, m in candidates:
-            if m & cur != m:
-                continue
-            if li > 0 and not (m & new_bit):
-                continue
-            g = pair_indicator(p)
-            if basis.insert(g.bits).extended:
-                elems.append(PairBasisElement(li, len(elems), p, g))
-        layers.append(tuple(elems))
-    return CanonicalPairBasis(G, order, tuple(layers), perm_seed, basis)
+    basis = Gf2Basis(edge_space_size(G.n) ** 2)
+    layers: list[list[PairBasisElement]] = [[] for _ in range(len(order) + 1)]
+    for li, p, _ in _layer_candidates(G, order, perm_seed):
+        g = pair_indicator(p)
+        if basis.insert(g.bits).extended:
+            layers[li].append(PairBasisElement(li, len(layers[li]), p, g))
+    return CanonicalPairBasis(G, order, tuple(map(tuple, layers)), perm_seed, basis)
 
 
 @dataclass(frozen=True)
@@ -243,7 +234,6 @@ def decompose(g: PairVector, cb: CanonicalBasis) -> Decomposition:
             "diagonal image escapes the canonical span"
         )
     elements = cb.elements
-    size = edge_space_size(g.n)
     raw_gc = g.bits.bits
     sums = [0] * len(cb.layers)
     alpha = []

@@ -1,13 +1,13 @@
-"""Exact dense linear algebra over the two-element field.
+"""Exact linear algebra over the two-element field.
 
 Vectors are arbitrary-precision Python integers wrapped in a fixed-length
-``BitVec``: addition is integer xor, and Gaussian elimination reduces to
-xor with lowest-set-bit pivoting.  All results are bit-exact.
+``BitVec``: addition is integer xor.  ``Gf2Basis`` is the one elimination
+kernel: an echelon keyed by lowest-set-bit pivot, against which a vector is
+reduced only at the pivots it hits.  All results are bit-exact.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -108,21 +108,21 @@ class InsertResult:
 
 
 class Gf2Basis:
-    """Incremental GF(2) basis in reduced echelon form.
+    """Incremental GF(2) basis kept as an echelon keyed by pivot.
 
-    Tracks, per reduced row, its expression over the successfully inserted
-    originals, so that membership queries also report the combination over
-    the original vectors.  Pivot = lowest-index set bit, which makes the
-    construction deterministic for a fixed insertion sequence.
+    Each stored row has a distinct pivot, its lowest set bit, and carries
+    its expression over the successfully inserted originals, so that
+    membership queries also report the combination over the original
+    vectors.  Rows are never back-substituted: which vectors extend the
+    span depends only on the span, not on the echelon form.
     """
 
     def __init__(self, length: int):
         if length < 0:
             raise ValueError(f"negative length {length}")
         self.length = length
-        self._rows: list[int] = []  # reduced rows, ascending pivot
-        self._pivots: list[int] = []  # pivot bit of each row
-        self._combos: list[int] = []  # row expression over originals, as bitmask
+        # pivot -> (row, row expression over originals as a bitmask)
+        self._rows: dict[int, tuple[int, int]] = {}
         self._originals: list[int] = []  # raw vectors that extended the span
 
     @property
@@ -134,12 +134,19 @@ class Gf2Basis:
         return [BitVec(self.length, o) for o in self._originals]
 
     def _reduce(self, r: int) -> tuple[int, int]:
-        """Eliminate every existing pivot from r; returns (residual, combo)."""
+        """Clear r's low bits while they are pivots; returns (residual, combo).
+
+        The residual is zero exactly when r lies in the span; otherwise its
+        lowest set bit is not a pivot.
+        """
         c = 0
-        for k, p in enumerate(self._pivots):
-            if (r >> p) & 1:
-                r ^= self._rows[k]
-                c ^= self._combos[k]
+        rows = self._rows
+        while r:
+            hit = rows.get((r & -r).bit_length() - 1)
+            if hit is None:
+                break
+            r ^= hit[0]
+            c ^= hit[1]
         return r, c
 
     def _check(self, v: BitVec) -> None:
@@ -157,17 +164,7 @@ class Gf2Basis:
         r, c = self._reduce(bits)
         if r == 0:
             return InsertResult(False, tuple(bit_indices(c)))
-        combo = c ^ (1 << len(self._originals))
-        pivot = (r & -r).bit_length() - 1
-        # back-substitute to keep the reduced form
-        for k in range(len(self._rows)):
-            if (self._rows[k] >> pivot) & 1:
-                self._rows[k] ^= r
-                self._combos[k] ^= combo
-        at = bisect_left(self._pivots, pivot)
-        self._rows.insert(at, r)
-        self._pivots.insert(at, pivot)
-        self._combos.insert(at, combo)
+        self._rows[(r & -r).bit_length() - 1] = (r, c ^ (1 << len(self._originals)))
         self._originals.append(bits)
         return InsertResult(True)
 
@@ -216,91 +213,31 @@ def solve_system(
     Stops at the first row that reduces to 0 = 1; the reported rank then
     covers only the rows seen up to that witness.
     """
-    piv_rows: list[int] = []  # augmented rows, rhs at bit position nvars
-    pivots: list[int] = []
+    basis = Gf2Basis(nvars + 1)  # augmented rows, rhs at bit position nvars
+    inconsistent = 1 << nvars
     for row, b in zip(rows, rhs):
         if row < 0 or row >> nvars:
             raise ValueError(f"row has coefficients beyond {nvars} variables")
-        aug = row | ((b & 1) << nvars)
-        for k, p in enumerate(pivots):
-            if (aug >> p) & 1:
-                aug ^= piv_rows[k]
-        var_part = aug & ((1 << nvars) - 1)
-        if var_part == 0:
-            if aug >> nvars:
-                return LinearSolveResult(False, None, (), len(pivots))
-            continue
-        pivot = (var_part & -var_part).bit_length() - 1
-        for k in range(len(piv_rows)):
-            if (piv_rows[k] >> pivot) & 1:
-                piv_rows[k] ^= aug
-        at = bisect_left(pivots, pivot)
-        pivots.insert(at, pivot)
-        piv_rows.insert(at, aug)
-    # particular solution: free variables zero, pivot variables from rhs
+        # rows go in without combos or originals: solving reads only the rows
+        r, _ = basis._reduce(row | (b & 1) << nvars)
+        if r == inconsistent:
+            return LinearSolveResult(False, None, (), basis.rank)
+        if r:
+            basis._rows[(r & -r).bit_length() - 1] = (r, 0)
+    # back-substitute once, highest pivot first; what remains above each
+    # pivot is free variables and the rhs, read off with free variables zero
     x = 0
-    for p, arow in zip(pivots, piv_rows):
-        if arow >> nvars:
-            x |= 1 << p
-    pivot_set = set(pivots)
-    null: list[int] = []
-    for f in range(nvars):
-        if f in pivot_set:
-            continue
-        vec = 1 << f
-        for p, arow in zip(pivots, piv_rows):
-            if (arow >> f) & 1:
-                vec |= 1 << p
-        null.append(vec)
-    return LinearSolveResult(True, x, tuple(null), len(pivots))
-
-
-@dataclass(frozen=True)
-class Solution:
-    """Solution of A·x = b: one particular x plus a homogeneous basis."""
-
-    x: BitVec
-    nullspace: tuple[BitVec, ...]
-    rank: int
-
-
-def solve(columns: Sequence[BitVec], b: BitVec) -> Optional[Solution]:
-    """Solve A·x = b where A is given by its columns; None when inconsistent.
-
-    Every returned solution and nullspace vector is verified bit-exactly
-    against the input before being reported.
-    """
-    m = b.length
-    for col in columns:
-        if col.length != m:
-            raise LengthMismatchError(
-                f"length mismatch: column {col.length} vs rhs {m}"
-            )
-    nvars = len(columns)
-    rows = []
-    for j in range(m):
-        r = 0
-        for i, col in enumerate(columns):
-            r |= ((col.bits >> j) & 1) << i
-        rows.append(r)
-    res = solve_system(rows, [b.get(j) for j in range(m)], nvars)
-    if not res.consistent:
-        return None
-
-    def apply(x: int) -> int:
-        out = 0
-        for j, r in enumerate(rows):
-            out |= ((r & x).bit_count() & 1) << j
-        return out
-
-    assert res.x is not None
-    if apply(res.x) != b.bits:
-        raise AssertionError("solver produced a non-solution")
-    for vec in res.nullspace:
-        if apply(vec) != 0:
-            raise AssertionError("nullspace vector fails the homogeneous system")
-    return Solution(
-        BitVec(nvars, res.x),
-        tuple(BitVec(nvars, v) for v in res.nullspace),
-        res.rank,
-    )
+    null = {f: 1 << f for f in range(nvars) if f not in basis._rows}
+    done: dict[int, int] = {}
+    for p in sorted(basis._rows, reverse=True):
+        r = basis._rows[p][0]
+        for q in bit_indices(r)[1:]:
+            if q in done:
+                r ^= done[q]
+        done[p] = r
+        for f in bit_indices(r)[1:]:
+            if f == nvars:
+                x |= 1 << p
+            else:
+                null[f] |= 1 << p
+    return LinearSolveResult(True, x, tuple(null.values()), len(done))

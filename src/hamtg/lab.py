@@ -27,7 +27,7 @@ from .canonical import (
     decompose,
     tail_sum_check,
 )
-from .gf2 import BitVec, Gf2Basis, bit_indices, rank, solve_system
+from .gf2 import Gf2Basis, bit_indices, rank, solve_system
 from .liftbasis import build_basis
 from .permvec import (
     PairVector,
@@ -67,6 +67,26 @@ def supported_coefficient_space(
     return list(res.nullspace)
 
 
+def _combine(
+    n: int, pair_cache: Sequence[PairVector], indices: Iterable[int]
+) -> PairVector:
+    """Xor of the pair_cache entries at the given indices."""
+    raw = 0
+    for k in indices:
+        raw ^= pair_cache[k].bits.bits
+    return PairVector.from_raw(n, raw)
+
+
+def _image_span(
+    n: int, coeff_space: Iterable[int], pair_cache: Sequence[PairVector]
+) -> Gf2Basis:
+    """Span of the diagonal images of the combinations the masks select."""
+    span = Gf2Basis(edge_space_size(n))
+    for mask in coeff_space:
+        span.insert(diagonal(_combine(n, pair_cache, bit_indices(mask))).bits)
+    return span
+
+
 def supported_subspace(
     G: TimeGraph,
     basis_perms: Sequence[Permutation],
@@ -75,14 +95,10 @@ def supported_subspace(
     """Basis of the pair-span elements supported in G."""
     if pair_cache is None:
         pair_cache = [pair_indicator(p) for p in basis_perms]
-    out = []
-    size = edge_space_size(G.n) ** 2
-    for mask in supported_coefficient_space(G, basis_perms):
-        raw = 0
-        for k in bit_indices(mask):
-            raw ^= pair_cache[k].bits.bits
-        out.append(PairVector(G.n, BitVec(size, raw)))
-    return out
+    return [
+        _combine(G.n, pair_cache, bit_indices(mask))
+        for mask in supported_coefficient_space(G, basis_perms)
+    ]
 
 
 def supported_image_span(
@@ -91,10 +107,9 @@ def supported_image_span(
     pair_cache: Optional[Sequence[PairVector]] = None,
 ) -> Gf2Basis:
     """Span of diagonal images of the supported subspace."""
-    span = Gf2Basis(edge_space_size(G.n))
-    for v in supported_subspace(G, basis_perms, pair_cache):
-        span.insert(diagonal(v).bits)
-    return span
+    if pair_cache is None:
+        pair_cache = [pair_indicator(p) for p in basis_perms]
+    return _image_span(G.n, supported_coefficient_space(G, basis_perms), pair_cache)
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +262,7 @@ def replay_report(data: dict, cache_dir: Optional[str] = None) -> bool:
     cb = build_canonical_basis(
         G, order=data["complement_order"], perm_seed=data["basis_seed"]
     )
-    g = PairVector(n, BitVec.from_hex(edge_space_size(n) ** 2, data["witness"]["g_hex"]))
+    g = PairVector.from_raw(n, int(data["witness"]["g_hex"], 16))
     if data["conjecture"] == 1:
         rep = check_conjecture1(cb, g, instance_id=data["id"])
     else:
@@ -300,11 +315,7 @@ def sample_supported_element(
     for vec in coeff_space:
         if rng.randrange(2):
             mask ^= vec
-    size = edge_space_size(G.n) ** 2
-    raw = 0
-    for k in bit_indices(mask):
-        raw ^= pair_cache[k].bits.bits
-    return PairVector(G.n, BitVec(size, raw))
+    return _combine(G.n, pair_cache, bit_indices(mask))
 
 
 # ---------------------------------------------------------------------------
@@ -349,15 +360,7 @@ def run_campaign(
             nonlocal coeff_space, image_span
             if coeff_space is None:
                 coeff_space = supported_coefficient_space(G, basis_perms)
-                span = Gf2Basis(edge_space_size(n))
-                for mask in coeff_space:
-                    raw = 0
-                    for k in bit_indices(mask):
-                        raw ^= pair_cache[k].bits.bits
-                    span.insert(
-                        diagonal(PairVector(n, BitVec(edge_space_size(n) ** 2, raw))).bits
-                    )
-                image_span = span
+                image_span = _image_span(n, coeff_space, pair_cache)
 
         g_rng = random.Random(f"{seed}:{n}:{trial}:g")
         if generator == "incident-xor":
@@ -366,6 +369,9 @@ def run_campaign(
             ensure_subspace()
             assert coeff_space is not None
             g = sample_supported_element(G, g_rng, coeff_space, pair_cache)
+        # every report of this trial shares one witness string; the hex of
+        # an order-6 pair vector is 8,100 characters
+        g_hex = g.bits.to_hex()
         for oi in range(orders):
             if oi == 0:
                 order = None
@@ -389,6 +395,7 @@ def run_campaign(
                         cb, g, image_span=image_span, instance_id=instance_id
                     )
                 rep.timing_ms = (time.perf_counter() - t0) * 1000.0
+                rep.witness["g_hex"] = g_hex
                 rep.witness["source"] = source
                 rep.witness["generator"] = generator
                 by_cid[cid] = rep
@@ -446,12 +453,7 @@ def audit_false_positive(
     if pair_cache is None:
         pair_cache = [pair_indicator(p) for p in basis_perms]
     T = reduce_hamp(g)
-    n = g.n
-    size = edge_space_size(n) ** 2
-    raw = 0
-    for k in witness:
-        raw ^= pair_cache[k].bits.bits
-    gw = PairVector(n, BitVec(size, raw))
+    gw = _combine(g.n, pair_cache, witness)
     if not is_supported_in(gw, T) or value_pair(gw) != 1:
         raise InternalInconsistencyError("decision witness is not a valid combination")
     cb = build_canonical_basis(T)

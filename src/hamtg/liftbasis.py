@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import os
+import uuid
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -166,7 +167,9 @@ def build_basis(
         path = _cache_path(cache_dir, n)
         path.parent.mkdir(parents=True, exist_ok=True)
         payload = {"n": n, "permutations": [list(p) for p in result]}
-        tmp = path.with_suffix(".tmp")
+        # a temp file of its own per writer, so overlapping writers never
+        # publish or remove each other's file
+        tmp = path.with_suffix(f".{uuid.uuid4().hex}.tmp")
         tmp.write_text(json.dumps(payload, sort_keys=True) + "\n")
         tmp.replace(path)
     return result

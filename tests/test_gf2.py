@@ -9,7 +9,6 @@ from hamtg.gf2 import (
     Gf2Basis,
     LengthMismatchError,
     rank,
-    solve,
     solve_system,
 )
 
@@ -141,28 +140,28 @@ def test_rank_agrees_with_independent_elimination():
 
 
 # ---------------------------------------------------------------------------
-# solve
+# solve_system
 
 def test_solve_identity_system():
-    cols = [bv(5, k) for k in range(5)]
-    b = bv(5, 1, 3)
-    sol = solve(cols, b)
-    assert sol is not None
-    assert sol.x == b
-    assert sol.nullspace == ()
+    res = solve_system([1 << k for k in range(5)], [0, 1, 0, 1, 0], 5)
+    assert res.consistent
+    assert res.x == 0b01010
+    assert res.nullspace == ()
+    assert res.rank == 5
 
 
 def test_solve_zero_matrix_inconsistent():
-    cols = [bv(3) for _ in range(4)]
-    assert solve(cols, bv(3, 0)) is None
+    res = solve_system([0, 0, 0], [1, 0, 0], 4)
+    assert not res.consistent
+    assert res.x is None
+    assert res.rank == 0
 
 
 def test_solve_zero_matrix_zero_rhs():
-    cols = [bv(3) for _ in range(4)]
-    sol = solve(cols, bv(3))
-    assert sol is not None
-    assert sol.x.popcount() == 0
-    assert len(sol.nullspace) == 4
+    res = solve_system([0, 0, 0], [0, 0, 0], 4)
+    assert res.consistent
+    assert res.x == 0
+    assert res.nullspace == (0b0001, 0b0010, 0b0100, 0b1000)
 
 
 def test_solve_planted_20x30():
@@ -170,25 +169,26 @@ def test_solve_planted_20x30():
     nrows, nvars = 20, 30
     eq_rows = [rng.getrandbits(nvars) for _ in range(nrows)]
     planted = rng.getrandbits(nvars)
-    rhs = [(eq_rows[r] & planted).bit_count() & 1 for r in range(nrows)]
-    cols = [
-        BitVec(nrows, sum(((eq_rows[r] >> c) & 1) << r for r in range(nrows)))
-        for c in range(nvars)
-    ]
-    b = BitVec(nrows, sum(bit << r for r, bit in enumerate(rhs)))
-    sol = solve(cols, b)
-    assert sol is not None
-    for r in range(nrows):
-        assert (eq_rows[r] & sol.x.bits).bit_count() & 1 == rhs[r]
+    rhs = [(r & planted).bit_count() & 1 for r in eq_rows]
+    res = solve_system(eq_rows, rhs, nvars)
+    assert res.consistent
+    for r, b in zip(eq_rows, rhs):
+        assert (r & res.x).bit_count() & 1 == b
+    for vec in res.nullspace:
+        for r in eq_rows:
+            assert (r & vec).bit_count() & 1 == 0
     # planted minus particular lies in the nullspace span
-    diff = planted ^ sol.x.bits
-    null_bits = [v.bits for v in sol.nullspace]
-    assert in_span_oracle(diff, null_bits, nvars)
+    assert in_span_oracle(planted ^ res.x, list(res.nullspace), nvars)
 
 
 def test_solve_system_detects_inconsistency():
     res = solve_system([0b11, 0b11], [0, 1], 2)
     assert not res.consistent
+
+
+def test_solve_system_rejects_wide_rows():
+    with pytest.raises(ValueError):
+        solve_system([0b100], [0], 2)
 
 
 # ---------------------------------------------------------------------------
@@ -245,5 +245,55 @@ def test_solve_random_planted(nrows, nvars, rnd):
     for r, b in zip(eq_rows, rhs):
         assert (r & res.x).bit_count() & 1 == b
     for vec in res.nullspace:
+        for r in eq_rows:
+            assert (r & vec).bit_count() & 1 == 0
+
+
+@settings(max_examples=80)
+@given(
+    st.integers(min_value=1, max_value=14),
+    st.integers(min_value=0, max_value=14),
+    st.sampled_from([0.1, 0.5, 0.9]),
+    st.booleans(),
+    st.randoms(use_true_random=False),
+)
+def test_solve_system_matches_oracle(nvars, nrows, density, planted, rnd):
+    # every output is pinned to its definition, not to a particular kernel
+    eq_rows = [
+        sum(1 << c for c in range(nvars) if rnd.random() < density)
+        for _ in range(nrows)
+    ]
+    if planted:
+        x0 = rnd.getrandbits(nvars)
+        rhs = [(r & x0).bit_count() & 1 for r in eq_rows]
+    else:
+        rhs = [rnd.randrange(2) for _ in eq_rows]
+    aug = [r | b << nvars for r, b in zip(eq_rows, rhs)]
+    res = solve_system(eq_rows, rhs, nvars)
+    rank_a = rank_oracle(eq_rows, nvars)
+    assert res.consistent == (rank_a == rank_oracle(aug, nvars + 1))
+    if not res.consistent:
+        # the rank covers the rows before the first one that makes 0 = 1
+        k = next(
+            k for k in range(nrows)
+            if rank_oracle(eq_rows[: k + 1], nvars) != rank_oracle(aug[: k + 1], nvars + 1)
+        )
+        assert res.rank == rank_oracle(eq_rows[:k], nvars)
+        assert res.x is None and res.nullspace == ()
+        return
+    assert res.rank == rank_a
+    assert len(res.nullspace) == nvars - rank_a
+    # free variables: the columns where the prefix column rank does not grow
+    free = [
+        c for c in range(nvars)
+        if rank_oracle([r & ((2 << c) - 1) for r in eq_rows], c + 1)
+        == rank_oracle([r & ((1 << c) - 1) for r in eq_rows], c)
+    ]
+    free_mask = sum(1 << c for c in free)
+    assert res.x & free_mask == 0
+    for r, b in zip(eq_rows, rhs):
+        assert (r & res.x).bit_count() & 1 == b
+    for f, vec in zip(free, res.nullspace):
+        assert vec & free_mask == 1 << f
         for r in eq_rows:
             assert (r & vec).bit_count() & 1 == 0

@@ -1,5 +1,6 @@
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 
@@ -225,3 +226,23 @@ def test_build_basis_cache_env(tmp_path, monkeypatch):
     monkeypatch.setenv("HAMTG_CACHE_DIR", str(tmp_path))
     build_basis(3)
     assert (tmp_path / "pair_basis_n3.json").exists()
+
+
+def test_build_basis_overlapping_cache_writers(tmp_path, monkeypatch):
+    # a second writer runs to completion while the first one is publishing
+    # its cache file; neither may lose or break the other's write
+    real_replace = Path.replace
+    nested = []
+
+    def replace(self, target):
+        monkeypatch.setattr(Path, "replace", real_replace)
+        nested.append(build_basis(4, cache_dir=str(tmp_path)))
+        return real_replace(self, target)
+
+    monkeypatch.setattr(Path, "replace", replace)
+    outer = build_basis(4, cache_dir=str(tmp_path))
+    assert outer == nested[0] == build_basis(4)
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "pair_basis_n3.json",
+        "pair_basis_n4.json",
+    ]
