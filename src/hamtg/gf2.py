@@ -8,7 +8,8 @@ reduced only at the pivots it hits.  All results are bit-exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 
@@ -97,14 +98,16 @@ class BitVec:
 
 @dataclass(frozen=True)
 class InsertResult:
-    """Outcome of a basis insertion.
+    """Outcome of a basis insertion: whether the vector extended the span.
 
-    ``combination`` is the set of original indices whose xor equals the
-    offered vector; it is None exactly when the vector extended the span.
+    ``coords`` gives the combination of a dependent vector when it is needed.
     """
 
     extended: bool
-    combination: Optional[tuple[int, ...]] = None
+
+
+_EXTENDED = InsertResult(True)
+_DEPENDENT = InsertResult(False)
 
 
 class Gf2Basis:
@@ -156,17 +159,17 @@ class Gf2Basis:
             )
 
     def insert(self, v: BitVec) -> InsertResult:
-        """Insert v; reports Dependent(combination) when v is already in the span."""
+        """Insert v; reports not extended when v is already in the span."""
         self._check(v)
         return self.insert_raw(v.bits)
 
     def insert_raw(self, bits: int) -> InsertResult:
         r, c = self._reduce(bits)
         if r == 0:
-            return InsertResult(False, tuple(bit_indices(c)))
+            return _DEPENDENT
         self._rows[(r & -r).bit_length() - 1] = (r, c ^ (1 << len(self._originals)))
         self._originals.append(bits)
-        return InsertResult(True)
+        return _EXTENDED
 
     def coords(self, v: BitVec) -> Optional[tuple[int, ...]]:
         """Indices of originals whose xor equals v, or None when v is outside the span."""
@@ -200,9 +203,34 @@ class LinearSolveResult:
     """Raw elimination outcome over int-encoded equation rows."""
 
     consistent: bool
-    x: Optional[int]  # particular solution (free variables zero)
-    nullspace: tuple[int, ...]  # basis of the homogeneous solutions
+    x: Optional[int]  # particular solution (free variables zero); None when inconsistent
     rank: int  # coefficient-matrix rank of the rows processed
+    # the augmented echelon of a consistent system, rhs at bit position nvars
+    _echelon: Optional[Gf2Basis] = field(default=None, repr=False, compare=False)
+
+    @cached_property
+    def nullspace(self) -> tuple[int, ...]:
+        """Basis of the homogeneous solutions, one vector per free variable, ascending.
+
+        Built on first read by back-substituting the echelon, highest pivot
+        first; empty for an inconsistent system.
+        """
+        if self._echelon is None:
+            return ()
+        rows = self._echelon._rows
+        nvars = self._echelon.length - 1
+        null = {f: 1 << f for f in range(nvars) if f not in rows}
+        done: dict[int, int] = {}
+        for p in sorted(rows, reverse=True):
+            r = rows[p][0]
+            for q in bit_indices(r)[1:]:
+                if q in done:
+                    r ^= done[q]
+            done[p] = r
+            for f in bit_indices(r)[1:]:
+                if f != nvars:
+                    null[f] |= 1 << p
+        return tuple(null.values())
 
 
 def solve_system(
@@ -221,23 +249,13 @@ def solve_system(
         # rows go in without combos or originals: solving reads only the rows
         r, _ = basis._reduce(row | (b & 1) << nvars)
         if r == inconsistent:
-            return LinearSolveResult(False, None, (), basis.rank)
+            return LinearSolveResult(False, None, basis.rank)
         if r:
             basis._rows[(r & -r).bit_length() - 1] = (r, 0)
-    # back-substitute once, highest pivot first; what remains above each
-    # pivot is free variables and the rhs, read off with free variables zero
+    # with free variables zero, each pivot variable is its row's rhs plus the
+    # parity of the already-solved higher pivots the row meets
     x = 0
-    null = {f: 1 << f for f in range(nvars) if f not in basis._rows}
-    done: dict[int, int] = {}
     for p in sorted(basis._rows, reverse=True):
         r = basis._rows[p][0]
-        for q in bit_indices(r)[1:]:
-            if q in done:
-                r ^= done[q]
-        done[p] = r
-        for f in bit_indices(r)[1:]:
-            if f == nvars:
-                x |= 1 << p
-            else:
-                null[f] |= 1 << p
-    return LinearSolveResult(True, x, tuple(null.values()), len(done))
+        x |= ((r >> nvars) ^ (r & x).bit_count() & 1) << p
+    return LinearSolveResult(True, x, basis.rank, basis)

@@ -13,6 +13,7 @@ replay from their serialized witnesses.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import random
@@ -62,8 +63,8 @@ def supported_coefficient_space(
     row dropped); the homogeneous system is always consistent.
     """
     system = assemble_system(G, basis_perms)
-    hom = [r for r in system.rows if r.tag != "value"]
-    res = solve_system((r.coeffs for r in hom), (0 for _ in hom), system.nvars)
+    hom = system.rows[1:]
+    res = solve_system(hom, (0,) * len(hom), system.nvars)
     return list(res.nullspace)
 
 
@@ -353,22 +354,18 @@ def run_campaign(
             G = reduce_hamp(random_graph(n, rng))
             source = "reduced"
         generator = "incident-xor" if (trial >> 1) % 2 == 0 else "subspace"
-        coeff_space: Optional[list[int]] = None
-        image_span: Optional[Gf2Basis] = None
 
-        def ensure_subspace() -> None:
-            nonlocal coeff_space, image_span
-            if coeff_space is None:
-                coeff_space = supported_coefficient_space(G, basis_perms)
-                image_span = _image_span(n, coeff_space, pair_cache)
+        @functools.cache
+        def subspace() -> tuple[list[int], Gf2Basis]:
+            """This trial's supported coefficient space and its image span, once."""
+            coeff_space = supported_coefficient_space(G, basis_perms)
+            return coeff_space, _image_span(n, coeff_space, pair_cache)
 
         g_rng = random.Random(f"{seed}:{n}:{trial}:g")
         if generator == "incident-xor":
             g = sample_incident_combination(G, g_rng)
         else:
-            ensure_subspace()
-            assert coeff_space is not None
-            g = sample_supported_element(G, g_rng, coeff_space, pair_cache)
+            g = sample_supported_element(G, g_rng, subspace()[0], pair_cache)
         # every report of this trial shares one witness string; the hex of
         # an order-6 pair vector is 8,100 characters
         g_hex = g.bits.to_hex()
@@ -390,9 +387,8 @@ def run_campaign(
                 if cid == 1:
                     rep = check_conjecture1(cb, g, instance_id=instance_id)
                 else:
-                    ensure_subspace()
                     rep = check_conjecture2(
-                        cb, g, image_span=image_span, instance_id=instance_id
+                        cb, g, image_span=subspace()[1], instance_id=instance_id
                     )
                 rep.timing_ms = (time.perf_counter() - t0) * 1000.0
                 rep.witness["g_hex"] = g_hex

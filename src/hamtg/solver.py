@@ -12,6 +12,7 @@ is surfaced as a counterexample candidate rather than an error.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Sequence
 
 from .canonical import InternalInconsistencyError
@@ -29,18 +30,13 @@ from .timegraph import (
 
 
 @dataclass(frozen=True)
-class SystemRow:
-    coeffs: int  # bitmask over basis coefficients
-    rhs: int
-    tag: str  # "value" or "pair(e,e')" with edge indices
-
-
-@dataclass(frozen=True)
 class LinearSystem:
     n: int
     nvars: int
-    rows: tuple[SystemRow, ...]
-    raw_rows: int  # generated count before zero-drop and dedup
+    # coefficient masks over the basis: rows[0] is the value row (all ones,
+    # rhs 1), every later row a pair row with rhs 0
+    rows: tuple[int, ...]
+    raw_rows: int  # constraints of the full system before pruning
 
 
 @dataclass(frozen=True)
@@ -65,6 +61,12 @@ def incidence_columns(n: int, basis_perms: Sequence[Permutation]) -> list[int]:
     return cols
 
 
+@lru_cache(maxsize=4)
+def _basis_columns(n: int, basis_perms: tuple[Permutation, ...]) -> tuple[int, ...]:
+    # the columns depend only on the basis, which every decision of a run shares
+    return tuple(incidence_columns(n, basis_perms))
+
+
 def assemble_system(G: TimeGraph, basis_perms: Sequence[Permutation]) -> LinearSystem:
     """One parity-1 value row plus, for every missing edge e and every edge
     e', the constraint that the combination vanishes at (e, e').
@@ -72,27 +74,32 @@ def assemble_system(G: TimeGraph, basis_perms: Sequence[Permutation]) -> LinearS
     The pair constraint coefficient for basis element i is 1 exactly when
     both e and e' are incident on permutation i, so each row is the AND of
     two incidence columns.  All-zero rows are dropped and duplicate rows
-    are emitted once; both are pure optimizations.
+    are emitted once, in first-seen order; both are pure optimizations.
+    Pairs whose row would be dropped are never visited: e' in e's layer
+    other than e itself (a permutation meets one edge per layer, so the row
+    is zero), and a missing e' in a lower layer (its row was made at (e', e)).
     """
     n = G.n
-    size = edge_space_size(n)
     nvars = len(basis_perms)
-    cols = incidence_columns(n, basis_perms)
-    rows = [SystemRow((1 << nvars) - 1, 1, "value")]
+    cols = _basis_columns(n, tuple(basis_perms))
+    layer = n * n
+    # per layer t: columns of the present edges below it, of all edges above it
+    below = [
+        [cols[i] for i in bit_indices(G.edges & ((1 << t * layer) - 1))]
+        for t in range(n - 1)
+    ]
+    above = [cols[(t + 1) * layer :] for t in range(n - 1)]
     complement = G.complement_indices()
-    raw = 1 + len(complement) * size
-    seen: set[int] = set()
-    for e in complement:
-        ce = cols[e]
-        if ce == 0:
-            continue
-        for e2 in range(size):
-            m = ce & cols[e2]
-            if m == 0 or m in seen:
-                continue
-            seen.add(m)
-            rows.append(SystemRow(m, 0, f"pair({e},{e2})"))
-    return LinearSystem(n, nvars, tuple(rows), raw)
+    # pair rows once each, in first-seen order (a dict keeps insertion order)
+    pairs = dict.fromkeys(
+        ce & c
+        for e in complement
+        if (ce := cols[e])
+        for c in (*below[e // layer], ce, *above[e // layer])
+    )
+    pairs.pop(0, None)  # the all-zero row
+    raw = 1 + len(complement) * edge_space_size(n)
+    return LinearSystem(n, nvars, ((1 << nvars) - 1, *pairs), raw)
 
 
 def decide_time_graph(
@@ -100,25 +107,18 @@ def decide_time_graph(
 ) -> Decision:
     """Decide feasibility of the assembled system for a time-graph."""
     system = assemble_system(G, basis_perms)
-    res = solve_system(
-        (r.coeffs for r in system.rows),
-        (r.rhs for r in system.rows),
-        system.nvars,
-    )
-    if not res.consistent:
-        return Decision(
-            False, None, system.nvars, len(system.rows), system.raw_rows, res.rank
-        )
+    rows = system.rows
+    res = solve_system(rows, (1,) + (0,) * (len(rows) - 1), system.nvars)
     x = res.x
-    assert x is not None
-    for r in system.rows:
-        if (x & r.coeffs).bit_count() & 1 != r.rhs:
-            raise InternalInconsistencyError("witness fails the assembled system")
+    if x is None:
+        return Decision(False, None, system.nvars, len(rows), system.raw_rows, res.rank)
+    if x.bit_count() & 1 != 1 or any((x & m).bit_count() & 1 for m in rows[1:]):
+        raise InternalInconsistencyError("witness fails the assembled system")
     return Decision(
         True,
         tuple(bit_indices(x)),
         system.nvars,
-        len(system.rows),
+        len(rows),
         system.raw_rows,
         res.rank,
     )

@@ -13,6 +13,8 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple
 
+from .gf2 import bit_indices
+
 ORACLE_PERM_CAP = 8  # n! enumeration guard
 ORACLE_PATH_CAP = 10  # backtracking-search guard
 
@@ -107,22 +109,10 @@ class TimeGraph:
         return self.edges.bit_count()
 
     def edge_indices(self) -> list[int]:
-        out = []
-        bits = self.edges
-        while bits:
-            low = bits & -bits
-            out.append(low.bit_length() - 1)
-            bits ^= low
-        return out
+        return bit_indices(self.edges)
 
     def complement_indices(self) -> list[int]:
-        mask = ((1 << edge_space_size(self.n)) - 1) ^ self.edges
-        out = []
-        while mask:
-            low = mask & -mask
-            out.append(low.bit_length() - 1)
-            mask ^= low
-        return out
+        return bit_indices(((1 << edge_space_size(self.n)) - 1) ^ self.edges)
 
     def to_text(self) -> str:
         lines = [str(self.n)]

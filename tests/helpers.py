@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from hamtg.timegraph import Graph
+from hamtg.timegraph import Graph, TimeGraph, edge_space_size, incident_mask
 
 
 def to_matrix(rows: list[int], ncols: int) -> np.ndarray:
@@ -63,3 +63,25 @@ def petersen() -> Graph:
     spokes = [(1, 6), (2, 7), (3, 8), (4, 9), (5, 10)]
     inner = [(6, 8), (8, 10), (10, 7), (7, 9), (9, 6)]
     return Graph.from_edges(10, outer + spokes + inner)
+
+
+def assemble_rows_reference(G: TimeGraph, perms) -> list[int]:
+    """The feasibility rows by the full loop: the value row, then the AND of
+    the incidence columns of every (missing edge, edge) pair, zero rows
+    dropped and duplicates kept once, in first-seen order."""
+    size = edge_space_size(G.n)
+    masks = [incident_mask(p) for p in perms]
+    cols = [
+        sum(1 << i for i, m in enumerate(masks) if (m >> e) & 1) for e in range(size)
+    ]
+    rows = [(1 << len(perms)) - 1]
+    seen = set()
+    for e in range(size):
+        if G.has_index(e):
+            continue
+        for e2 in range(size):
+            m = cols[e] & cols[e2]
+            if m and m not in seen:
+                seen.add(m)
+                rows.append(m)
+    return rows

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import hamtg
 from hamtg.cli import EXIT_NO, EXIT_YES, main
 from hamtg.timegraph import Graph, TimeGraph
 
@@ -78,6 +83,26 @@ def test_solve_no_exit_code(capsys, graph_file):
     assert data["answer"] == "no"
     assert data["oracle_answer"] == "no"
     assert "conjecture_flag" not in data
+
+
+@pytest.mark.parametrize(
+    "g, expected", [(path_graph(4), EXIT_YES), (star_graph(3), EXIT_NO)], ids=["yes", "no"]
+)
+def test_solve_under_optimize_flag(graph_file, tmp_path, g, expected):
+    # python -O strips assert statements; no check of the decision may rely on one
+    src = str(Path(hamtg.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "HAMTG_CACHE_DIR": str(tmp_path)}
+    path = graph_file(g)
+    outputs = []
+    for flags in ([], ["-O"]):
+        proc = subprocess.run(
+            [sys.executable, *flags, "-m", "hamtg", "solve", path],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == expected, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[1] == outputs[0]
+    assert json.loads(outputs[0])["answer"] == ("yes" if expected == EXIT_YES else "no")
 
 
 def test_solve_no_oracle_flag(capsys, graph_file):

@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hamtg.liftbasis import build_basis
 from hamtg.permvec import pair_indicator, value_pair, is_supported_in
@@ -18,7 +20,7 @@ from hamtg.timegraph import (
     reduce_hamp,
 )
 
-from helpers import path_graph, star_graph
+from helpers import assemble_rows_reference, path_graph, star_graph
 
 
 def all_graphs(n):
@@ -33,8 +35,7 @@ def test_complete_time_graph_yields_value_row_only():
     n = 4
     perms = build_basis(n)
     system = assemble_system(TimeGraph.complete(n), perms)
-    assert len(system.rows) == 1
-    assert system.rows[0].tag == "value"
+    assert system.rows == ((1 << len(perms)) - 1,)  # the value row alone
     decision = decide_time_graph(TimeGraph.complete(n), perms)
     assert decision.answer
 
@@ -61,8 +62,10 @@ def test_value_row_is_all_ones():
     n = 3
     perms = build_basis(n)
     system = assemble_system(TimeGraph.complete(n), perms)
-    assert system.rows[0].coeffs == (1 << len(perms)) - 1
-    assert system.rows[0].rhs == 1
+    assert system.rows[0] == (1 << len(perms)) - 1
+    # rhs 1: the witness meets the value row an odd number of times
+    decision = decide_time_graph(TimeGraph.complete(n), perms)
+    assert len(decision.witness) % 2 == 1
 
 
 def test_assemble_rejects_order_mismatch():
@@ -105,8 +108,9 @@ def test_witness_satisfies_every_row():
         x = 0
         for k in decision.witness:
             x |= 1 << k
-        for row in assemble_system(T, perms).rows:
-            assert (x & row.coeffs).bit_count() & 1 == row.rhs
+        rows = assemble_system(T, perms).rows
+        parities = [(x & m).bit_count() & 1 for m in rows]
+        assert parities == [1] + [0] * (len(rows) - 1)
 
 
 def test_witness_combination_is_supported_with_value_one():
@@ -138,3 +142,41 @@ def test_adding_edges_never_flips_yes_to_no():
         grown = decide_time_graph(reduce_hamp(bigger), perms)
         if base.answer:
             assert grown.answer
+
+
+@st.composite
+def time_graphs(draw):
+    """Random time-graphs of order 3 to 5, half of them reductions of graphs."""
+    n = draw(st.integers(min_value=3, max_value=5))
+    if draw(st.booleans()):
+        return TimeGraph(n, draw(st.integers(0, (1 << edge_space_size(n)) - 1)))
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True))
+    return reduce_hamp(Graph.from_edges(n, chosen))
+
+
+@settings(max_examples=60, deadline=None)
+@given(time_graphs())
+def test_assembly_matches_full_loop_reference(T):
+    # the pruned pair visits keep exactly the rows of the full loop, in order
+    perms = build_basis(T.n)
+    system = assemble_system(T, perms)
+    assert list(system.rows) == assemble_rows_reference(T, perms)
+    assert system.raw_rows == 1 + len(T.complement_indices()) * edge_space_size(T.n)
+
+
+def test_columns_follow_the_basis_order():
+    # a second basis of the same order must not reuse the first one's columns
+    perms = build_basis(4)
+    T = reduce_hamp(path_graph(4))
+    decide_time_graph(T, perms)
+    reversed_perms = perms[::-1]
+    system = assemble_system(T, reversed_perms)
+    assert list(system.rows) == assemble_rows_reference(T, reversed_perms)
+    decision = decide_time_graph(T, reversed_perms)
+    assert decision.answer
+    combo = pair_indicator(reversed_perms[decision.witness[0]])
+    for k in decision.witness[1:]:
+        combo = combo ^ pair_indicator(reversed_perms[k])
+    assert is_supported_in(combo, T)
+    assert value_pair(combo) == 1
