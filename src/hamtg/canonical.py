@@ -87,7 +87,7 @@ class CanonicalBasis:
             for perm in perms:
                 p = tuple(perm)
                 f = edge_indicator(p)
-                res = basis.insert(f.bits)
+                res = basis.insert(f)
                 if not res.extended:
                     raise ValueError("serialized basis is not independent")
                 elems.append(BasisElement(li, len(elems), p, f, pair_indicator(p)))
@@ -158,7 +158,7 @@ def build_canonical_basis(
     layers: list[list[BasisElement]] = [[] for _ in range(len(order) + 1)]
     for li, p, m in _layer_candidates(G, order, perm_seed):
         if basis.insert_raw(m).extended:
-            f = EdgeVector.from_raw(G.n, m)
+            f = EdgeVector(G.n, m)
             layers[li].append(BasisElement(li, len(layers[li]), p, f, pair_indicator(p)))
     return CanonicalBasis(G, order, tuple(map(tuple, layers)), perm_seed, basis)
 
@@ -201,7 +201,7 @@ def build_canonical_pair_basis(
     layers: list[list[PairBasisElement]] = [[] for _ in range(len(order) + 1)]
     for li, p, _ in _layer_candidates(G, order, perm_seed):
         g = pair_indicator(p)
-        if basis.insert(g.bits).extended:
+        if basis.insert(g).extended:
             layers[li].append(PairBasisElement(li, len(layers[li]), p, g))
     return CanonicalPairBasis(G, order, tuple(map(tuple, layers)), perm_seed, basis)
 
@@ -228,25 +228,40 @@ def decompose(g: PairVector, cb: CanonicalBasis) -> Decomposition:
     if g.n != cb.G.n:
         raise ValueError(f"order mismatch: {g.n} vs {cb.G.n}")
     pg = diagonal(g)
-    combo = cb.coord_basis.coords(pg.bits)
+    combo = cb.coord_basis.coords(pg)
     if combo is None:
         raise InternalInconsistencyError(
             "diagonal image escapes the canonical span"
         )
     elements = cb.elements
-    raw_gc = g.bits.bits
+    raw_gc = g.bits
     sums = [0] * len(cb.layers)
     alpha = []
     for kidx in combo:
         el = elements[kidx]
         alpha.append((el.layer, el.slot))
-        raw_gc ^= el.F.bits.bits
-        sums[el.layer] ^= el.f.bits.bits
-    gc = PairVector.from_raw(g.n, raw_gc)
+        raw_gc ^= el.F.bits
+        sums[el.layer] ^= el.f.bits
+    gc = PairVector(g.n, raw_gc)
     if not diagonal(gc).is_zero():
         raise InternalInconsistencyError("residual is not a closed cycle")
-    layer_sums = tuple(EdgeVector.from_raw(g.n, s) for s in sums)
+    layer_sums = tuple(EdgeVector(g.n, s) for s in sums)
     return Decomposition(tuple(alpha), gc, layer_sums)
+
+
+def _tail_parities(
+    dec: Decomposition, cb: CanonicalBasis, strict: bool = False
+) -> list[int]:
+    """For m = 1..k, the value at e_m of the sum of the layer sums from m on.
+
+    With strict the sum starts beyond m, so its last entry is always 0.
+    """
+    k = cb.k
+    tails = [0] * (k + 2)  # tails[i]: xor of the layer sums i..k
+    for i in range(k, 0, -1):
+        tails[i] = tails[i + 1] ^ dec.layer_sums[i].bits
+    start = 1 if strict else 0
+    return [(tails[m + start] >> cb.order[m - 1]) & 1 for m in range(1, k + 1)]
 
 
 def tail_sum_check(dec: Decomposition, cb: CanonicalBasis) -> bool:
@@ -255,11 +270,4 @@ def tail_sum_check(dec: Decomposition, cb: CanonicalBasis) -> bool:
     Holds for every decomposition of a vector supported in G; a False here
     means the implementation is broken, and callers treat it as fatal.
     """
-    for m in range(1, cb.k + 1):
-        em = cb.order[m - 1]
-        acc = 0
-        for i in range(m, cb.k + 1):
-            acc ^= (dec.layer_sums[i].bits.bits >> em) & 1
-        if acc:
-            return False
-    return True
+    return not any(_tail_parities(dec, cb))

@@ -2,8 +2,10 @@
 
 Subcommands: reduce, oracle, basis, dim, solve, conjectures, crossval.
 Output is JSON on stdout (or --out); `solve` exits 10 for yes and 11 for
-no, everything else exits 0 on success.  The basis cache directory comes
-from --cache-dir or the HAMTG_CACHE_DIR environment variable.
+no, `crossval` exits 1 when the decider gave a false negative (an
+implementation bug), everything else exits 0 on success.  The basis cache
+directory comes from --cache-dir or the HAMTG_CACHE_DIR environment
+variable.
 """
 
 from __future__ import annotations
@@ -132,6 +134,9 @@ def cmd_crossval(args) -> int:
         cache_dir=args.cache_dir,
     )
     _emit(result, args.out)
+    if result["false_negative_count"]:
+        print("FALSE NEGATIVES PRESENT: implementation bug", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -1,20 +1,31 @@
 """Exact linear algebra over the two-element field.
 
-Vectors are arbitrary-precision Python integers wrapped in a fixed-length
-``BitVec``: addition is integer xor.  ``Gf2Basis`` is the one elimination
-kernel: an echelon keyed by lowest-set-bit pivot, against which a vector is
-reduced only at the pivots it hits.  All results are bit-exact.
+Vectors are arbitrary-precision Python integers of a fixed length (a
+``BitVec`` here, an indicator vector in ``permvec``): addition is integer
+xor.  ``Gf2Basis`` is the one elimination kernel: an echelon keyed by
+lowest-set-bit pivot, against which a vector is reduced only at the pivots
+it hits.  All results are bit-exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional, Protocol, Sequence
 
 
 class LengthMismatchError(ValueError):
     """Operands of a GF(2) operation disagree on bit length."""
+
+
+class Vector(Protocol):
+    """A fixed-length GF(2) vector: ``bits`` has no set bit at or beyond ``length``."""
+
+    @property
+    def length(self) -> int: ...
+
+    @property
+    def bits(self) -> int: ...
 
 
 def bit_indices(x: int) -> list[int]:
@@ -49,51 +60,19 @@ class BitVec:
             bits |= 1 << i
         return cls(length, bits)
 
-    @classmethod
-    def from_hex(cls, length: int, text: str) -> "BitVec":
-        return cls(length, int(text, 16) if text else 0)
-
-    def to_hex(self) -> str:
-        return format(self.bits, "x")
-
     def get(self, i: int) -> int:
         if not 0 <= i < self.length:
             raise IndexError(f"bit index {i} out of range for length {self.length}")
         return (self.bits >> i) & 1
 
-    def with_bit(self, i: int, value: int = 1) -> "BitVec":
-        if not 0 <= i < self.length:
-            raise IndexError(f"bit index {i} out of range for length {self.length}")
-        if value:
-            return BitVec(self.length, self.bits | (1 << i))
-        return BitVec(self.length, self.bits & ~(1 << i))
-
-    def popcount(self) -> int:
-        return self.bits.bit_count()
-
-    def indices(self) -> tuple[int, ...]:
-        return tuple(bit_indices(self.bits))
-
-    def _check_length(self, other: "BitVec") -> None:
+    def __xor__(self, other: "BitVec") -> "BitVec":
+        if not isinstance(other, BitVec):
+            return NotImplemented
         if self.length != other.length:
             raise LengthMismatchError(
                 f"length mismatch: {self.length} vs {other.length}"
             )
-
-    def __xor__(self, other: "BitVec") -> "BitVec":
-        if not isinstance(other, BitVec):
-            return NotImplemented
-        self._check_length(other)
         return BitVec(self.length, self.bits ^ other.bits)
-
-    def __and__(self, other: "BitVec") -> "BitVec":
-        if not isinstance(other, BitVec):
-            return NotImplemented
-        self._check_length(other)
-        return BitVec(self.length, self.bits & other.bits)
-
-    def __bool__(self) -> bool:
-        return self.bits != 0
 
 
 @dataclass(frozen=True)
@@ -114,10 +93,11 @@ class Gf2Basis:
     """Incremental GF(2) basis kept as an echelon keyed by pivot.
 
     Each stored row has a distinct pivot, its lowest set bit, and carries
-    its expression over the successfully inserted originals, so that
-    membership queries also report the combination over the original
-    vectors.  Rows are never back-substituted: which vectors extend the
-    span depends only on the span, not on the echelon form.
+    its expression over the successfully inserted originals (the k-th
+    vector that extended the span is bit k), so that membership queries
+    also report the combination over the original vectors.  Rows are never
+    back-substituted: which vectors extend the span depends only on the
+    span, not on the echelon form.
     """
 
     def __init__(self, length: int):
@@ -126,15 +106,10 @@ class Gf2Basis:
         self.length = length
         # pivot -> (row, row expression over originals as a bitmask)
         self._rows: dict[int, tuple[int, int]] = {}
-        self._originals: list[int] = []  # raw vectors that extended the span
 
     @property
     def rank(self) -> int:
         return len(self._rows)
-
-    @property
-    def originals(self) -> list[BitVec]:
-        return [BitVec(self.length, o) for o in self._originals]
 
     def _reduce(self, r: int) -> tuple[int, int]:
         """Clear r's low bits while they are pivots; returns (residual, combo).
@@ -152,13 +127,13 @@ class Gf2Basis:
             c ^= hit[1]
         return r, c
 
-    def _check(self, v: BitVec) -> None:
+    def _check(self, v: Vector) -> None:
         if v.length != self.length:
             raise LengthMismatchError(
                 f"length mismatch: basis {self.length} vs vector {v.length}"
             )
 
-    def insert(self, v: BitVec) -> InsertResult:
+    def insert(self, v: Vector) -> InsertResult:
         """Insert v; reports not extended when v is already in the span."""
         self._check(v)
         return self.insert_raw(v.bits)
@@ -167,11 +142,11 @@ class Gf2Basis:
         r, c = self._reduce(bits)
         if r == 0:
             return _DEPENDENT
-        self._rows[(r & -r).bit_length() - 1] = (r, c ^ (1 << len(self._originals)))
-        self._originals.append(bits)
+        # one row per original, so the new original's bit is the row count
+        self._rows[(r & -r).bit_length() - 1] = (r, c ^ (1 << len(self._rows)))
         return _EXTENDED
 
-    def coords(self, v: BitVec) -> Optional[tuple[int, ...]]:
+    def coords(self, v: Vector) -> Optional[tuple[int, ...]]:
         """Indices of originals whose xor equals v, or None when v is outside the span."""
         self._check(v)
         return self.coords_raw(v.bits)
@@ -182,13 +157,13 @@ class Gf2Basis:
             return None
         return tuple(bit_indices(c))
 
-    def contains(self, v: BitVec) -> bool:
+    def contains(self, v: Vector) -> bool:
         self._check(v)
         r, _ = self._reduce(v.bits)
         return r == 0
 
 
-def rank(vectors: Sequence[BitVec]) -> int:
+def rank(vectors: Sequence[Vector]) -> int:
     """GF(2) rank of a list of equal-length vectors."""
     if not vectors:
         return 0

@@ -24,6 +24,7 @@ from typing import IO, Iterable, Optional, Sequence
 from .canonical import (
     CanonicalBasis,
     InternalInconsistencyError,
+    _tail_parities,
     build_canonical_basis,
     decompose,
     tail_sum_check,
@@ -74,8 +75,8 @@ def _combine(
     """Xor of the pair_cache entries at the given indices."""
     raw = 0
     for k in indices:
-        raw ^= pair_cache[k].bits.bits
-    return PairVector.from_raw(n, raw)
+        raw ^= pair_cache[k].bits
+    return PairVector(n, raw)
 
 
 def _image_span(
@@ -84,7 +85,7 @@ def _image_span(
     """Span of the diagonal images of the combinations the masks select."""
     span = Gf2Basis(edge_space_size(n))
     for mask in coeff_space:
-        span.insert(diagonal(_combine(n, pair_cache, bit_indices(mask))).bits)
+        span.insert(diagonal(_combine(n, pair_cache, bit_indices(mask))))
     return span
 
 
@@ -151,7 +152,7 @@ class ConjectureReport:
 
 def _base_witness(g: PairVector, dec) -> dict:
     return {
-        "g_hex": g.bits.to_hex(),
+        "g_hex": format(g.bits, "x"),
         "alpha": [list(a) for a in dec.alpha],
     }
 
@@ -170,14 +171,8 @@ def check_conjecture1(
     if not tail_sum_check(dec, cb):
         raise InternalInconsistencyError("tail-sum identity failed")
     k = cb.k
-    failing = []
-    for m in range(1, k):
-        em = cb.order[m - 1]
-        acc = 0
-        for i in range(m + 1, k + 1):
-            acc ^= (dec.layer_sums[i].bits.bits >> em) & 1
-        if acc:
-            failing.append(m)
+    strict_tails = _tail_parities(dec, cb, strict=True)
+    failing = [m for m, acc in enumerate(strict_tails, 1) if acc]
     if k <= 1:
         verdict = "vacuous"
     else:
@@ -186,7 +181,7 @@ def check_conjecture1(
     witness["failing_m"] = failing
     # consequence data: the own-layer entry f^(m)(e_m) for each m
     witness["own_layer_entries"] = [
-        (dec.layer_sums[m].bits.bits >> cb.order[m - 1]) & 1 for m in range(1, k + 1)
+        (dec.layer_sums[m].bits >> cb.order[m - 1]) & 1 for m in range(1, k + 1)
     ]
     return ConjectureReport(
         instance_id,
@@ -233,13 +228,13 @@ def check_conjecture2(
             if basis_perms is None:
                 basis_perms = build_basis(cb.G.n)
             image_span = supported_image_span(cb.G, basis_perms)
-        feasible = image_span.contains(dec.layer_sums[j].bits)
+        feasible = image_span.contains(dec.layer_sums[j])
         witness["feasible"] = feasible
         if all_trailing:
             witness["trailing"] = [
                 {
                     "j": jj,
-                    "feasible": image_span.contains(dec.layer_sums[jj].bits),
+                    "feasible": image_span.contains(dec.layer_sums[jj]),
                 }
                 for jj in range(j, cb.k + 1)
             ]
@@ -263,7 +258,7 @@ def replay_report(data: dict, cache_dir: Optional[str] = None) -> bool:
     cb = build_canonical_basis(
         G, order=data["complement_order"], perm_seed=data["basis_seed"]
     )
-    g = PairVector.from_raw(n, int(data["witness"]["g_hex"], 16))
+    g = PairVector(n, int(data["witness"]["g_hex"], 16))
     if data["conjecture"] == 1:
         rep = check_conjecture1(cb, g, instance_id=data["id"])
     else:
@@ -368,7 +363,7 @@ def run_campaign(
             g = sample_supported_element(G, g_rng, subspace()[0], pair_cache)
         # every report of this trial shares one witness string; the hex of
         # an order-6 pair vector is 8,100 characters
-        g_hex = g.bits.to_hex()
+        g_hex = format(g.bits, "x")
         for oi in range(orders):
             if oi == 0:
                 order = None
@@ -408,8 +403,7 @@ def run_campaign(
                 if 2 in by_cid:
                     r2 = by_cid[2]
                 else:
-                    ensure_subspace()
-                    r2 = check_conjecture2(cb, g, image_span=image_span)
+                    r2 = check_conjecture2(cb, g, image_span=subspace()[1])
                 if r1.verdict != "violated" and r2.verdict != "violated":
                     raise InternalInconsistencyError(
                         "value-1 supported element on a non-hamiltonian "
@@ -458,7 +452,7 @@ def audit_false_positive(
     r2 = check_conjecture2(cb, gw, image_span=image_span, instance_id="audit-c2")
     ok = r1.verdict == "violated" or r2.verdict == "violated"
     return {
-        "g_hex": gw.bits.to_hex(),
+        "g_hex": format(gw.bits, "x"),
         "witness": list(witness),
         "reports": [r1.to_dict(), r2.to_dict()],
         "implication_ok": ok,
@@ -551,7 +545,7 @@ def dimension_table(
     out = []
     for n in range(2, max_n + 1):
         perms = all_permutations(n)
-        dim_edge = rank([edge_indicator(p).bits for p in perms])
+        dim_edge = rank([edge_indicator(p) for p in perms])
         row = {
             "n": n,
             "edges": edge_space_size(n),
@@ -561,7 +555,7 @@ def dimension_table(
             "consistent": None,
         }
         if n <= pair_max:
-            dim_pair = rank([pair_indicator(p).bits for p in perms])
+            dim_pair = rank([pair_indicator(p) for p in perms])
             basis_n = len(build_basis(n, cache_dir=cache_dir, cap=pair_max))
             row["dim_pair_span"] = dim_pair
             row["lift_basis_size"] = basis_n

@@ -111,7 +111,7 @@ def base_basis(n: int) -> list[Permutation]:
     basis = Gf2Basis(edge_space_size(n) ** 2)
     out = []
     for p in all_permutations(n):
-        if basis.insert(pair_indicator(p).bits).extended:
+        if basis.insert(pair_indicator(p)).extended:
             out.append(p)
     return out
 
@@ -161,7 +161,7 @@ def build_basis(
             lift = Lift.canonical(n, anchor)
             for pk in prev:
                 q = lift_perm(lift, pk)
-                if basis.insert(pair_indicator(q).bits).extended:
+                if basis.insert(pair_indicator(q)).extended:
                     result.append(q)
     if cache_dir is not None:
         path = _cache_path(cache_dir, n)

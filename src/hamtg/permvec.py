@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
-from .gf2 import BitVec, bit_indices
+from .gf2 import bit_indices
 from .timegraph import (
     Edge,
     Permutation,
@@ -24,75 +24,68 @@ from .timegraph import (
 
 
 @dataclass(frozen=True)
-class EdgeVector:
+class _Indicator:
+    """Order n plus an int bitmask; subclasses fix its ``length`` from n.
+
+    Xor is addition; vectors of different kinds or orders do not add.
+    """
+
     n: int
-    bits: BitVec
+    bits: int = 0
 
     def __post_init__(self) -> None:
-        if self.bits.length != edge_space_size(self.n):
+        if self.bits < 0 or self.bits >> self.length:
             raise ValueError(
-                f"edge vector for order {self.n} must have length "
-                f"{edge_space_size(self.n)}, got {self.bits.length}"
+                f"{type(self).__name__} of order {self.n} has set bits "
+                f"beyond its length {self.length}"
             )
 
     @classmethod
-    def zero(cls, n: int) -> "EdgeVector":
-        return cls(n, BitVec(edge_space_size(n)))
-
-    @classmethod
-    def from_raw(cls, n: int, raw: int) -> "EdgeVector":
-        return cls(n, BitVec(edge_space_size(n), raw))
-
-    def get(self, e: Edge) -> int:
-        return self.bits.get(edge_index(e, self.n))
+    def zero(cls, n: int) -> "_Indicator":
+        return cls(n)
 
     def is_zero(self) -> bool:
-        return self.bits.bits == 0
+        return self.bits == 0
 
-    def __xor__(self, other: "EdgeVector") -> "EdgeVector":
-        if not isinstance(other, EdgeVector) or other.n != self.n:
+    def __xor__(self, other: "_Indicator") -> "_Indicator":
+        if type(other) is not type(self) or other.n != self.n:
             return NotImplemented
-        return EdgeVector(self.n, self.bits ^ other.bits)
+        return type(self)(self.n, self.bits ^ other.bits)
 
 
 @dataclass(frozen=True)
-class PairVector:
-    n: int
-    bits: BitVec  # position edge_index(e) * L + edge_index(e'), L = n^2(n-1)
+class EdgeVector(_Indicator):
+    """An element of B^{E(n)}: bit edge_index(e) is the value at e."""
 
-    def __post_init__(self) -> None:
-        size = edge_space_size(self.n) ** 2
-        if self.bits.length != size:
-            raise ValueError(
-                f"pair vector for order {self.n} must have length {size}, "
-                f"got {self.bits.length}"
-            )
+    @property
+    def length(self) -> int:
+        return edge_space_size(self.n)
 
-    @classmethod
-    def zero(cls, n: int) -> "PairVector":
-        return cls(n, BitVec(edge_space_size(n) ** 2))
+    def get(self, e: Edge) -> int:
+        return (self.bits >> edge_index(e, self.n)) & 1
 
-    @classmethod
-    def from_raw(cls, n: int, raw: int) -> "PairVector":
-        return cls(n, BitVec(edge_space_size(n) ** 2, raw))
+
+@dataclass(frozen=True)
+class PairVector(_Indicator):
+    """An element of B^{E(n) x E(n)}, row-major.
+
+    Bit edge_index(e) * L + edge_index(e') is the value at (e, e'), with
+    L = n^2(n-1).
+    """
+
+    @property
+    def length(self) -> int:
+        return edge_space_size(self.n) ** 2
 
     def get(self, e: Edge, e2: Edge) -> int:
-        size = edge_space_size(self.n)
-        return self.bits.get(edge_index(e, self.n) * size + edge_index(e2, self.n))
-
-    def is_zero(self) -> bool:
-        return self.bits.bits == 0
-
-    def __xor__(self, other: "PairVector") -> "PairVector":
-        if not isinstance(other, PairVector) or other.n != self.n:
-            return NotImplemented
-        return PairVector(self.n, self.bits ^ other.bits)
+        pos = edge_index(e, self.n) * edge_space_size(self.n) + edge_index(e2, self.n)
+        return (self.bits >> pos) & 1
 
 
 def edge_indicator(p: Permutation) -> EdgeVector:
     """Indicator of the edges incident on p; exactly one bit per layer."""
     check_permutation(p)
-    return EdgeVector.from_raw(len(p), incident_mask(p))
+    return EdgeVector(len(p), incident_mask(p))
 
 
 def pair_indicator(p: Permutation) -> PairVector:
@@ -104,31 +97,31 @@ def pair_indicator(p: Permutation) -> PairVector:
     raw = 0
     for ei in bit_indices(inc):
         raw |= inc << (ei * size)
-    return PairVector.from_raw(n, raw)
+    return PairVector(n, raw)
 
 
 def diagonal(g: PairVector) -> EdgeVector:
     """Diagonal extraction g(e, e); linear in g."""
     size = edge_space_size(g.n)
     raw = 0
-    gb = g.bits.bits
+    gb = g.bits
     for e in range(size):
         raw |= ((gb >> (e * (size + 1))) & 1) << e
-    return EdgeVector.from_raw(g.n, raw)
+    return EdgeVector(g.n, raw)
 
 
 def row_at(g: PairVector, e: Edge) -> EdgeVector:
     """Row extraction e' -> g(e, e'); linear in g."""
     size = edge_space_size(g.n)
     ei = edge_index(e, g.n)
-    raw = (g.bits.bits >> (ei * size)) & ((1 << size) - 1)
-    return EdgeVector.from_raw(g.n, raw)
+    raw = (g.bits >> (ei * size)) & ((1 << size) - 1)
+    return EdgeVector(g.n, raw)
 
 
 def value(f: EdgeVector) -> int:
     """Parity of the layer-1 entries; 1 on every single-permutation indicator."""
     layer1 = (1 << (f.n * f.n)) - 1
-    return (f.bits.bits & layer1).bit_count() & 1
+    return (f.bits & layer1).bit_count() & 1
 
 
 def value_pair(g: PairVector) -> int:
@@ -151,7 +144,7 @@ def support_mask(g: PairVector) -> int:
     """Bitmask over edge indices whose row is nonzero."""
     size = edge_space_size(g.n)
     row = (1 << size) - 1
-    gb = g.bits.bits
+    gb = g.bits
     out = 0
     for e in range(size):
         if (gb >> (e * size)) & row:
@@ -175,7 +168,7 @@ def is_supported_in(g: PairVector, G: TimeGraph) -> bool:
 
 def is_symmetric(g: PairVector) -> bool:
     size = edge_space_size(g.n)
-    gb = g.bits.bits
+    gb = g.bits
     for a in range(size):
         for b in range(a + 1, size):
             if ((gb >> (a * size + b)) & 1) != ((gb >> (b * size + a)) & 1):

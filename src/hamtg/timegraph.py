@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .gf2 import bit_indices
 
@@ -222,29 +222,25 @@ def is_incident(e: Edge, p: Permutation) -> bool:
     return p[e.t - 1] == e.i and p[e.t] == e.j
 
 
-def incident_permutations(G: TimeGraph, cap: int | None = None) -> list[Permutation]:
-    """All permutations incident on G, in lexicographic order."""
+def _incident(G: TimeGraph, cap: int | None) -> Iterator[Permutation]:
+    """Permutations incident on G, lexicographically, under the n! cap."""
     limit = ORACLE_PERM_CAP if cap is None else cap
     if G.n > limit:
         raise OracleScaleError(f"oracle scale exceeded: n={G.n} > cap={limit}")
-    out = []
     for p in itertools.permutations(range(1, G.n + 1)):
         m = incident_mask(p)
         if m & G.edges == m:
-            out.append(p)
-    return out
+            yield p
+
+
+def incident_permutations(G: TimeGraph, cap: int | None = None) -> list[Permutation]:
+    """All permutations incident on G, in lexicographic order."""
+    return list(_incident(G, cap))
 
 
 def is_hamiltonian_oracle(G: TimeGraph, cap: int | None = None) -> bool:
-    """Whether some permutation is incident on G (exhaustive check)."""
-    limit = ORACLE_PERM_CAP if cap is None else cap
-    if G.n > limit:
-        raise OracleScaleError(f"oracle scale exceeded: n={G.n} > cap={limit}")
-    for p in itertools.permutations(range(1, G.n + 1)):
-        m = incident_mask(p)
-        if m & G.edges == m:
-            return True
-    return False
+    """Whether some permutation is incident on G (exhaustive, stops at the first)."""
+    return next(_incident(G, cap), None) is not None
 
 
 def reduce_hamp(g: Graph) -> TimeGraph:

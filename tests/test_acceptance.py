@@ -184,9 +184,9 @@ def test_criterion_5_basis_spans_every_indicator():
     for n in (3, 4, 5):
         span = Gf2Basis(edge_space_size(n) ** 2)
         for p in build_basis(n):
-            assert span.insert(pair_indicator(p).bits).extended
+            assert span.insert(pair_indicator(p)).extended
         for p in all_permutations(n):
-            assert span.contains(pair_indicator(p).bits), f"span miss at n={n}"
+            assert span.contains(pair_indicator(p)), f"span miss at n={n}"
             checks += 1
     assert checks == 6 + 24 + 120
     _report("5 basis-spans-indicators", f"{checks} membership checks, {time.time()-t0:.1f}s")
@@ -196,7 +196,7 @@ def test_criterion_6_basis_size_equals_bruteforce_rank():
     t0 = time.time()
     sizes = {}
     for n in (3, 4, 5):
-        brute = rank([pair_indicator(p).bits for p in all_permutations(n)])
+        brute = rank([pair_indicator(p) for p in all_permutations(n)])
         sizes[n] = (len(build_basis(n)), brute)
         assert sizes[n][0] == brute
     _report("6 basis-size", f"{sizes}, {time.time()-t0:.1f}s")

@@ -53,7 +53,7 @@ def test_complete_graph_gives_single_layer():
     cb = build_canonical_basis(TimeGraph.complete(n))
     assert cb.k == 0
     assert len(cb.layers) == 1
-    full_rank = rank([edge_indicator(p).bits for p in all_permutations(n)])
+    full_rank = rank([edge_indicator(p) for p in all_permutations(n)])
     assert cb.d == (full_rank,)
     assert cb.rank == full_rank
 
@@ -62,7 +62,7 @@ def test_empty_graph_layer_zero_is_empty():
     cb = build_canonical_basis(TimeGraph.empty(3))
     assert cb.d[0] == 0
     # all layers together still span the full space
-    assert cb.rank == rank([edge_indicator(p).bits for p in all_permutations(3)])
+    assert cb.rank == rank([edge_indicator(p) for p in all_permutations(3)])
 
 
 def test_reduced_path_layer_zero():
@@ -70,7 +70,7 @@ def test_reduced_path_layer_zero():
     cb = build_canonical_basis(T)
     assert cb.d[0] == 2
     assert {el.perm for el in cb.layers[0]} == {(1, 2, 3), (3, 2, 1)}
-    assert cb.rank == rank([edge_indicator(p).bits for p in all_permutations(3)])
+    assert cb.rank == rank([edge_indicator(p) for p in all_permutations(3)])
 
 
 def test_layer_elements_use_their_complement_edge():
@@ -102,10 +102,10 @@ def test_prefix_layers_span_intermediate_graphs(n):
         for li in range(len(cb.layers)):
             if li > 0:
                 cur |= 1 << cb.order[li - 1]
-            running.extend(el.f.bits for el in cb.layers[li])
+            running.extend(el.f for el in cb.layers[li])
             G_l = TimeGraph(n, cur)
             brute = rank(
-                [edge_indicator(p).bits for p in incident_permutations(G_l)]
+                [edge_indicator(p) for p in incident_permutations(G_l)]
             )
             assert rank(list(running)) == brute
             assert len(running) == sum(cb.d[: li + 1])
@@ -116,15 +116,12 @@ def test_layer_counts_are_dimension_increments():
     G, order = random_instance(4, rng)
     cb = build_canonical_basis(G, order=order)
     cur = G.edges
-    prev_dim = rank([edge_indicator(p).bits for p in incident_permutations(G)])
+    prev_dim = rank([edge_indicator(p) for p in incident_permutations(G)])
     assert cb.d[0] == prev_dim
     for li in range(1, len(cb.layers)):
         cur |= 1 << cb.order[li - 1]
         dim = rank(
-            [
-                edge_indicator(p).bits
-                for p in incident_permutations(TimeGraph(4, cur))
-            ]
+            [edge_indicator(p) for p in incident_permutations(TimeGraph(4, cur))]
         )
         assert cb.d[li] == dim - prev_dim
         prev_dim = dim
@@ -152,7 +149,7 @@ def test_perm_seed_changes_layer_content_not_rank():
 def test_pair_basis_complete_graph():
     n = 4
     pb = build_canonical_pair_basis(TimeGraph.complete(n))
-    full = rank([pair_indicator(p).bits for p in all_permutations(n)])
+    full = rank([pair_indicator(p) for p in all_permutations(n)])
     assert pb.c == (full,)
 
 
@@ -161,7 +158,7 @@ def test_pair_basis_rank_is_order_independent():
     G, order = random_instance(3, rng)
     a = build_canonical_pair_basis(G)
     b = build_canonical_pair_basis(G, order=order)
-    full = rank([pair_indicator(p).bits for p in all_permutations(3)])
+    full = rank([pair_indicator(p) for p in all_permutations(3)])
     # layer counts may differ between enumerations, the total rank may not
     assert a.rank == b.rank == full
 
@@ -207,8 +204,8 @@ def test_decompose_roundtrip(n):
             expected = 0
             for (l, s) in dec.alpha:
                 if l == li:
-                    expected ^= lookup[(l, s)].f.bits.bits
-            assert dec.layer_sums[li].bits.bits == expected
+                    expected ^= lookup[(l, s)].f.bits
+            assert dec.layer_sums[li].bits == expected
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +240,7 @@ def test_own_layer_entry_equals_layer_value():
         dec = decompose(g, cb)
         for m in range(1, cb.k + 1):
             fm = dec.layer_sums[m]
-            assert value(fm) == (fm.bits.bits >> cb.order[m - 1]) & 1
+            assert value(fm) == (fm.bits >> cb.order[m - 1]) & 1
 
 
 # ---------------------------------------------------------------------------

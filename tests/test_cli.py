@@ -130,6 +130,18 @@ def test_crossval_cli(capsys):
     assert data["false_negative_count"] == 0
 
 
+def test_crossval_cli_fails_on_false_negative(capsys, monkeypatch):
+    def one_false_negative(n, **kwargs):
+        return {"graphs": 1, "false_negative_count": 1, "false_negatives": [{}]}
+
+    monkeypatch.setattr(hamtg.lab, "crossval", one_false_negative)
+    code = main(["crossval", "--n", "3"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert json.loads(captured.out)["false_negative_count"] == 1
+    assert "FALSE NEGATIVES" in captured.err
+
+
 def test_out_file(tmp_path, graph_file):
     out = tmp_path / "result.json"
     code = main(["reduce", graph_file(path_graph(3)), "--out", str(out)])

@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from hamtg.canonical import build_canonical_basis
+from hamtg import lab
+from hamtg.canonical import InternalInconsistencyError, build_canonical_basis
 from hamtg.gf2 import rank
 from hamtg.lab import (
     check_conjecture1,
@@ -57,17 +58,17 @@ def test_supported_subspace_contains_incident_combinations(n):
         # a sample of larger subsets
         span = Gf2Basis(edge_space_size(n) ** 2)
         for v in vecs:
-            span.insert(v.bits)
+            span.insert(v)
         incident = incident_permutations(G)
         for p in incident:
-            assert span.contains(pair_indicator(p).bits)
+            assert span.contains(pair_indicator(p))
         for _ in range(10):
             g = PairVector.zero(n)
             for p in incident:
                 if rng.randrange(2):
                     g = g ^ pair_indicator(p)
             if not g.is_zero():
-                assert span.contains(g.bits)
+                assert span.contains(g)
 
 
 def test_supported_subspace_of_empty_graph_has_no_value_one_element():
@@ -193,6 +194,15 @@ def test_campaign_with_basis_seed_replays():
         assert replay_report(rep.to_dict())
 
 
+def test_implication_gate_without_conjecture2(monkeypatch):
+    # with every element claimed to have value 1, the gate must run on a
+    # non-hamiltonian instance, compute the conjecture-2 verdict itself
+    # (the campaign skipped it), and find that neither conjecture failed
+    monkeypatch.setattr(lab, "value_pair", lambda g: 1)
+    with pytest.raises(InternalInconsistencyError, match="violated neither"):
+        run_campaign(4, 4, 0, conjectures=(1,))
+
+
 # ---------------------------------------------------------------------------
 # cross-validation
 
@@ -238,10 +248,10 @@ def test_dimension_table_matches_bruteforce():
     from hamtg.permvec import edge_indicator
 
     assert table[-1]["dim_edge_span"] == rank(
-        [edge_indicator(p).bits for p in perms]
+        [edge_indicator(p) for p in perms]
     )
     assert table[-1]["dim_pair_span"] == rank(
-        [pair_indicator(p).bits for p in perms]
+        [pair_indicator(p) for p in perms]
     )
 
 

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from hamtg.gf2 import rank
+from hamtg.gf2 import Gf2Basis, LengthMismatchError, bit_indices, rank
 from hamtg.permvec import (
     EdgeVector,
     PairVector,
@@ -43,31 +43,31 @@ def xor_all(vectors, zero):
 
 def test_edge_indicator_identity_bits():
     f = edge_indicator(identity(3))
-    assert f.bits.indices() == (1, 14)  # (1,2,1) and (2,3,2)
+    assert bit_indices(f.bits) == [1, 14]  # (1,2,1) and (2,3,2)
 
 
 @pytest.mark.parametrize("n", range(2, 8))
 def test_edge_indicator_popcount(n):
     for p in all_permutations(n):
-        assert edge_indicator(p).bits.popcount() == n - 1
+        assert edge_indicator(p).bits.bit_count() == n - 1
 
 
 def test_edge_indicator_disjoint_supports():
     f = edge_indicator((2, 1, 3)) ^ edge_indicator((1, 2, 3))
-    assert f.bits.popcount() == 4
+    assert f.bits.bit_count() == 4
 
 
 def test_pair_indicator_identity_bits():
     g = pair_indicator(identity(3))
     # ordered pairs over edge indices {1, 14}
-    assert g.bits.indices() == (1 * 18 + 1, 1 * 18 + 14, 14 * 18 + 1, 14 * 18 + 14)
+    assert bit_indices(g.bits) == [1 * 18 + 1, 1 * 18 + 14, 14 * 18 + 1, 14 * 18 + 14]
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_pair_indicator_popcount_and_diagonal(n):
     for p in all_permutations(n):
         g = pair_indicator(p)
-        assert g.bits.popcount() == (n - 1) ** 2
+        assert g.bits.bit_count() == (n - 1) ** 2
         assert diagonal(g) == edge_indicator(p)
 
 
@@ -76,6 +76,33 @@ def test_indicator_rejects_non_permutation():
         edge_indicator((1, 1, 3))
     with pytest.raises(ValueError):
         pair_indicator((1, 2, 4))
+
+
+def test_vectors_reject_bits_outside_their_length():
+    assert EdgeVector(3, (1 << 18) - 1).length == 18
+    assert PairVector(3, (1 << 324) - 1).length == 324
+    for bad in (
+        lambda: EdgeVector(3, 1 << 18),
+        lambda: PairVector(3, 1 << 324),
+        lambda: EdgeVector(3, -1),
+        lambda: PairVector(3, -1),
+    ):
+        with pytest.raises(ValueError):
+            bad()
+
+
+def test_basis_rejects_vector_of_other_length():
+    with pytest.raises(LengthMismatchError):
+        Gf2Basis(18).insert(pair_indicator(identity(3)))
+    assert Gf2Basis(324).insert(pair_indicator(identity(3))).extended
+
+
+def test_xor_needs_same_kind_and_order():
+    with pytest.raises(TypeError):
+        EdgeVector(3) ^ EdgeVector(4)
+    with pytest.raises(TypeError):
+        EdgeVector(3) ^ PairVector(3)
+    assert EdgeVector(3, 0b110) ^ EdgeVector(3, 0b011) == EdgeVector(3, 0b101)
 
 
 # ---------------------------------------------------------------------------
@@ -265,11 +292,11 @@ def test_rank_of_order3_indicators():
     from helpers import rank_oracle
 
     perms = all_permutations(3)
-    rows = [edge_indicator(p).bits for p in perms]
+    rows = [edge_indicator(p) for p in perms]
     assert rank(rows) == 6
     # cross-check by an unrelated elimination on the transposed matrix
     transposed = [
-        sum((row.get(c) << r) for r, row in enumerate(rows)) for c in range(18)
+        sum(((row.bits >> c) & 1) << r for r, row in enumerate(rows)) for c in range(18)
     ]
     assert rank_oracle(transposed, len(rows)) == 6
-    assert rank([pair_indicator(p).bits for p in perms]) == 6
+    assert rank([pair_indicator(p) for p in perms]) == 6
