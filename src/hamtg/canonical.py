@@ -7,22 +7,25 @@ indicators of permutations incident on G, and layer l extends the span with
 indicators of permutations that become incident only once e_l is added (all
 of which use e_l).  Layers 0..l then span exactly the subspace generated by
 the permutations incident on G_l.
+
+A permutation belongs to layer l exactly when e_l is the last of its
+missing edges in the enumeration (layer 0 when none is missing), so one
+pass over the candidates sorts them into their layers.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
-from .gf2 import Gf2Basis
+from .gf2 import Gf2Basis, Vector, bit_indices
 from .permvec import EdgeVector, PairVector, diagonal, edge_indicator, pair_indicator
 from .timegraph import (
-    ORACLE_PERM_CAP,
-    OracleScaleError,
     Permutation,
     TimeGraph,
     all_permutations,
+    check_perm_cap,
     edge_space_size,
     incident_mask,
 )
@@ -37,12 +40,12 @@ class BasisElement:
     layer: int
     slot: int
     perm: Permutation
-    f: EdgeVector
-    F: PairVector  # pair indicator of the same permutation
 
 
 @dataclass(frozen=True)
 class CanonicalBasis:
+    """Layered basis of the edge span or, from the pair builder, the pair span."""
+
     G: TimeGraph
     order: tuple[int, ...]  # enumeration of the complement, as edge indices
     layers: tuple[tuple[BasisElement, ...], ...]  # index 0..k
@@ -66,34 +69,6 @@ class CanonicalBasis:
     def rank(self) -> int:
         return self.coord_basis.rank
 
-    def to_dict(self) -> dict:
-        return {
-            "n": self.G.n,
-            "graph_edges": self.G.edge_indices(),
-            "order": list(self.order),
-            "perm_seed": self.perm_seed,
-            "layers": [[list(el.perm) for el in layer] for layer in self.layers],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "CanonicalBasis":
-        n = data["n"]
-        G = TimeGraph.from_indices(n, data["graph_edges"])
-        size = edge_space_size(n)
-        basis = Gf2Basis(size)
-        layers = []
-        for li, perms in enumerate(data["layers"]):
-            elems = []
-            for perm in perms:
-                p = tuple(perm)
-                f = edge_indicator(p)
-                res = basis.insert(f)
-                if not res.extended:
-                    raise ValueError("serialized basis is not independent")
-                elems.append(BasisElement(li, len(elems), p, f, pair_indicator(p)))
-            layers.append(tuple(elems))
-        return cls(G, tuple(data["order"]), tuple(layers), data["perm_seed"], basis)
-
 
 def _perm_sequence(n: int, seed: Optional[int]) -> list[Permutation]:
     perms = all_permutations(n)
@@ -114,30 +89,37 @@ def _checked_order(
     return order
 
 
-def _check_cap(n: int, cap: Optional[int]) -> None:
-    limit = ORACLE_PERM_CAP if cap is None else cap
-    if n > limit:
-        raise OracleScaleError(f"oracle scale exceeded: n={n} > cap={limit}")
+def _build(
+    G: TimeGraph,
+    order: Optional[Sequence[int]],
+    perm_seed: Optional[int],
+    cap: Optional[int],
+    length: int,
+    vector: Callable[[Permutation], Vector],
+) -> CanonicalBasis:
+    """Greedy layered basis of the span of vector(p) over all permutations p.
 
-
-def _layer_candidates(
-    G: TimeGraph, order: tuple[int, ...], perm_seed: Optional[int]
-) -> Iterator[tuple[int, Permutation, int]]:
-    """(layer, perm, incident mask) for every candidate, layer by layer.
-
-    Layer 0 offers the permutations incident on G; layer l offers those
-    incident on G_l that use e_l.
+    Each layer takes its candidates in sequence order; a candidate's layer
+    is the 1-based enumeration position of its last missing edge, 0 if none.
     """
-    candidates = [(p, incident_mask(p)) for p in _perm_sequence(G.n, perm_seed)]
-    cur = G.edges
-    for li in range(len(order) + 1):
-        new_bit = 0
-        if li > 0:
-            new_bit = 1 << order[li - 1]
-            cur |= new_bit
-        for p, m in candidates:
-            if m & cur == m and (li == 0 or m & new_bit):
-                yield li, p, m
+    check_perm_cap(G.n, cap)
+    order = _checked_order(G, order)
+    position = [0] * edge_space_size(G.n)  # 0 for the edges of G
+    for pos, e in enumerate(order, 1):
+        position[e] = pos
+    candidates: list[list[Permutation]] = [[] for _ in range(len(order) + 1)]
+    for p in _perm_sequence(G.n, perm_seed):
+        layer = max((position[e] for e in bit_indices(incident_mask(p))), default=0)
+        candidates[layer].append(p)
+    basis = Gf2Basis(length)
+    layers = []
+    for li, perms in enumerate(candidates):
+        kept: list[BasisElement] = []
+        for p in perms:
+            if basis.insert(vector(p)).extended:
+                kept.append(BasisElement(li, len(kept), p))
+        layers.append(tuple(kept))
+    return CanonicalBasis(G, order, tuple(layers), perm_seed, basis)
 
 
 def build_canonical_basis(
@@ -152,40 +134,7 @@ def build_canonical_basis(
     order within each layer is lexicographic, or seeded-shuffled when
     perm_seed is given (the construction is deterministic either way).
     """
-    _check_cap(G.n, cap)
-    order = _checked_order(G, order)
-    basis = Gf2Basis(edge_space_size(G.n))
-    layers: list[list[BasisElement]] = [[] for _ in range(len(order) + 1)]
-    for li, p, m in _layer_candidates(G, order, perm_seed):
-        if basis.insert_raw(m).extended:
-            f = EdgeVector(G.n, m)
-            layers[li].append(BasisElement(li, len(layers[li]), p, f, pair_indicator(p)))
-    return CanonicalBasis(G, order, tuple(map(tuple, layers)), perm_seed, basis)
-
-
-@dataclass(frozen=True)
-class PairBasisElement:
-    layer: int
-    slot: int
-    perm: Permutation
-    g: PairVector
-
-
-@dataclass(frozen=True)
-class CanonicalPairBasis:
-    G: TimeGraph
-    order: tuple[int, ...]
-    layers: tuple[tuple[PairBasisElement, ...], ...]
-    perm_seed: Optional[int]
-    coord_basis: Gf2Basis = field(compare=False, repr=False)
-
-    @property
-    def c(self) -> tuple[int, ...]:
-        return tuple(len(layer) for layer in self.layers)
-
-    @property
-    def rank(self) -> int:
-        return self.coord_basis.rank
+    return _build(G, order, perm_seed, cap, edge_space_size(G.n), edge_indicator)
 
 
 def build_canonical_pair_basis(
@@ -193,17 +142,12 @@ def build_canonical_pair_basis(
     order: Optional[Sequence[int]] = None,
     perm_seed: Optional[int] = None,
     cap: Optional[int] = None,
-) -> CanonicalPairBasis:
-    """Same layered construction applied to the pair indicators."""
-    _check_cap(G.n, cap)
-    order = _checked_order(G, order)
-    basis = Gf2Basis(edge_space_size(G.n) ** 2)
-    layers: list[list[PairBasisElement]] = [[] for _ in range(len(order) + 1)]
-    for li, p, _ in _layer_candidates(G, order, perm_seed):
-        g = pair_indicator(p)
-        if basis.insert(g).extended:
-            layers[li].append(PairBasisElement(li, len(layers[li]), p, g))
-    return CanonicalPairBasis(G, order, tuple(map(tuple, layers)), perm_seed, basis)
+) -> CanonicalBasis:
+    """Same layered construction applied to the pair indicators.
+
+    The result spans the pair span; decompose does not accept it.
+    """
+    return _build(G, order, perm_seed, cap, edge_space_size(G.n) ** 2, pair_indicator)
 
 
 @dataclass(frozen=True)
@@ -223,7 +167,9 @@ def decompose(g: PairVector, cb: CanonicalBasis) -> Decomposition:
     """Split g into a closed cycle plus canonical basis elements.
 
     The coefficients are those of g's diagonal image over the edge basis;
-    they are unique, and the reconstruction is verified bit-exactly.
+    they are unique, and the reconstruction is verified bit-exactly.  cb
+    must come from build_canonical_basis: a pair basis raises
+    LengthMismatchError.
     """
     if g.n != cb.G.n:
         raise ValueError(f"order mismatch: {g.n} vs {cb.G.n}")
@@ -240,8 +186,8 @@ def decompose(g: PairVector, cb: CanonicalBasis) -> Decomposition:
     for kidx in combo:
         el = elements[kidx]
         alpha.append((el.layer, el.slot))
-        raw_gc ^= el.F.bits
-        sums[el.layer] ^= el.f.bits
+        raw_gc ^= pair_indicator(el.perm).bits
+        sums[el.layer] ^= incident_mask(el.perm)
     gc = PairVector(g.n, raw_gc)
     if not diagonal(gc).is_zero():
         raise InternalInconsistencyError("residual is not a closed cycle")

@@ -23,11 +23,7 @@ EXIT_NO = 11
 
 
 def _emit(obj, out: Optional[str]) -> None:
-    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
-    if out:
-        Path(out).write_text(text)
-    else:
-        sys.stdout.write(text)
+    _write(json.dumps(obj, indent=2, sort_keys=True) + "\n", out)
 
 
 def _write(text: str, out: Optional[str]) -> None:

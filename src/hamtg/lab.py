@@ -198,18 +198,15 @@ def check_conjecture1(
 def check_conjecture2(
     cb: CanonicalBasis,
     g: PairVector,
-    basis_perms: Optional[Sequence[Permutation]] = None,
-    image_span: Optional[Gf2Basis] = None,
-    all_trailing: bool = False,
+    image_span: Gf2Basis,
     instance_id: str = "adhoc",
 ) -> ConjectureReport:
     """Diagonal feasibility at the last nonzero layer sum.
 
     Tests the strongest reading: j is the maximal index with a nonzero
     layer sum, and the verdict asks whether that sum is the diagonal image
-    of some element supported in G.  With all_trailing, every j whose
-    trailing sums vanish is checked (those beyond the maximum are trivial).
-    Vacuous when every layer sum is zero.
+    of some element supported in G; image_span is the span of those images
+    (supported_image_span of cb.G).  Vacuous when every layer sum is zero.
     """
     if not is_supported_in(g, cb.G):
         raise ValueError("g is not supported in G")
@@ -224,20 +221,8 @@ def check_conjecture2(
     else:
         j = max(nonzero)
         witness["j"] = j
-        if image_span is None:
-            if basis_perms is None:
-                basis_perms = build_basis(cb.G.n)
-            image_span = supported_image_span(cb.G, basis_perms)
         feasible = image_span.contains(dec.layer_sums[j])
         witness["feasible"] = feasible
-        if all_trailing:
-            witness["trailing"] = [
-                {
-                    "j": jj,
-                    "feasible": image_span.contains(dec.layer_sums[jj]),
-                }
-                for jj in range(j, cb.k + 1)
-            ]
         verdict = "holds" if feasible else "violated"
     return ConjectureReport(
         instance_id,
@@ -262,10 +247,8 @@ def replay_report(data: dict, cache_dir: Optional[str] = None) -> bool:
     if data["conjecture"] == 1:
         rep = check_conjecture1(cb, g, instance_id=data["id"])
     else:
-        rep = check_conjecture2(
-            cb, g, basis_perms=build_basis(n, cache_dir=cache_dir),
-            instance_id=data["id"],
-        )
+        image_span = supported_image_span(G, build_basis(n, cache_dir=cache_dir))
+        rep = check_conjecture2(cb, g, image_span, instance_id=data["id"])
     return rep.verdict == data["verdict"]
 
 

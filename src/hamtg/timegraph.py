@@ -97,14 +97,6 @@ class TimeGraph:
     def has_index(self, idx: int) -> bool:
         return bool((self.edges >> idx) & 1)
 
-    def has_edge(self, e: Edge) -> bool:
-        return self.has_index(edge_index(e, self.n))
-
-    def with_index(self, idx: int) -> "TimeGraph":
-        if not 0 <= idx < edge_space_size(self.n):
-            raise ValueError(f"edge index {idx} out of range for order {self.n}")
-        return TimeGraph(self.n, self.edges | (1 << idx))
-
     def edge_count(self) -> int:
         return self.edges.bit_count()
 
@@ -222,11 +214,16 @@ def is_incident(e: Edge, p: Permutation) -> bool:
     return p[e.t - 1] == e.i and p[e.t] == e.j
 
 
+def check_perm_cap(n: int, cap: int | None) -> None:
+    """Refuse n! enumeration beyond the cap (ORACLE_PERM_CAP by default)."""
+    limit = ORACLE_PERM_CAP if cap is None else cap
+    if n > limit:
+        raise OracleScaleError(f"oracle scale exceeded: n={n} > cap={limit}")
+
+
 def _incident(G: TimeGraph, cap: int | None) -> Iterator[Permutation]:
     """Permutations incident on G, lexicographically, under the n! cap."""
-    limit = ORACLE_PERM_CAP if cap is None else cap
-    if G.n > limit:
-        raise OracleScaleError(f"oracle scale exceeded: n={G.n} > cap={limit}")
+    check_perm_cap(G.n, cap)
     for p in itertools.permutations(range(1, G.n + 1)):
         m = incident_mask(p)
         if m & G.edges == m:

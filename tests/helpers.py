@@ -2,9 +2,18 @@
 
 from __future__ import annotations
 
+import random
+
 import numpy as np
 
-from hamtg.timegraph import Graph, TimeGraph, edge_space_size, incident_mask
+from hamtg.gf2 import Gf2Basis
+from hamtg.timegraph import (
+    Graph,
+    TimeGraph,
+    all_permutations,
+    edge_space_size,
+    incident_mask,
+)
 
 
 def to_matrix(rows: list[int], ncols: int) -> np.ndarray:
@@ -85,3 +94,31 @@ def assemble_rows_reference(G: TimeGraph, perms) -> list[int]:
                 seen.add(m)
                 rows.append(m)
     return rows
+
+
+def canonical_layers_reference(G: TimeGraph, order, perm_seed, vector) -> list:
+    """(layer, slot, perm) of a canonical basis by the per-layer rescan.
+
+    Walks the chain G_0 = G, G_l = G_{l-1} + e_l and, for each layer l,
+    rescans every candidate for those incident on G_l that use e_l (layer
+    0: incident on G), inserting vector(p) greedily.
+    """
+    perms = all_permutations(G.n)
+    if perm_seed is not None:
+        random.Random(perm_seed).shuffle(perms)
+    basis = Gf2Basis(vector(perms[0]).length)
+    out = []
+    cur = G.edges
+    for li in range(len(order) + 1):
+        new_bit = 0
+        if li > 0:
+            new_bit = 1 << order[li - 1]
+            cur |= new_bit
+        slot = 0
+        for p in perms:
+            m = incident_mask(p)
+            if m & cur == m and (li == 0 or m & new_bit):
+                if basis.insert(vector(p)).extended:
+                    out.append((li, slot, p))
+                    slot += 1
+    return out

@@ -1,15 +1,16 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hamtg.canonical import (
-    CanonicalBasis,
     build_canonical_basis,
     build_canonical_pair_basis,
     decompose,
     tail_sum_check,
 )
-from hamtg.gf2 import rank
+from hamtg.gf2 import LengthMismatchError, rank
 from hamtg.permvec import (
     PairVector,
     diagonal,
@@ -26,7 +27,7 @@ from hamtg.timegraph import (
     reduce_hamp,
 )
 
-from helpers import path_graph
+from helpers import canonical_layers_reference, path_graph
 
 
 def random_instance(n, rng):
@@ -102,7 +103,7 @@ def test_prefix_layers_span_intermediate_graphs(n):
         for li in range(len(cb.layers)):
             if li > 0:
                 cur |= 1 << cb.order[li - 1]
-            running.extend(el.f for el in cb.layers[li])
+            running.extend(edge_indicator(el.perm) for el in cb.layers[li])
             G_l = TimeGraph(n, cur)
             brute = rank(
                 [edge_indicator(p) for p in incident_permutations(G_l)]
@@ -131,8 +132,9 @@ def test_order_validation():
     G = reduce_hamp(path_graph(3))
     with pytest.raises(ValueError):
         build_canonical_basis(G, order=[0, 1])
-    with pytest.raises(OracleScaleError):
-        build_canonical_basis(TimeGraph.complete(9))
+    for build in (build_canonical_basis, build_canonical_pair_basis):
+        with pytest.raises(OracleScaleError):
+            build(TimeGraph.complete(9))
 
 
 def test_perm_seed_changes_layer_content_not_rank():
@@ -150,7 +152,7 @@ def test_pair_basis_complete_graph():
     n = 4
     pb = build_canonical_pair_basis(TimeGraph.complete(n))
     full = rank([pair_indicator(p) for p in all_permutations(n)])
-    assert pb.c == (full,)
+    assert pb.d == (full,)
 
 
 def test_pair_basis_rank_is_order_independent():
@@ -164,12 +166,32 @@ def test_pair_basis_rank_is_order_independent():
 
 
 # ---------------------------------------------------------------------------
+# layer rule: a permutation's layer is the position of its last missing edge
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(3, 5),
+    st.randoms(use_true_random=False),
+    st.one_of(st.none(), st.integers(0, 2**31 - 1)),
+)
+def test_builders_match_per_layer_rescan(n, rng, perm_seed):
+    G, order = random_instance(n, rng)
+    for build, vector in (
+        (build_canonical_basis, edge_indicator),
+        (build_canonical_pair_basis, pair_indicator),
+    ):
+        cb = build(G, order=order, perm_seed=perm_seed)
+        got = [(el.layer, el.slot, el.perm) for el in cb.elements]
+        assert got == canonical_layers_reference(G, order, perm_seed, vector)
+
+
+# ---------------------------------------------------------------------------
 # decomposition
 
 def test_decompose_basis_element_is_unit():
     cb = build_canonical_basis(reduce_hamp(path_graph(3)))
     el = cb.elements[0]
-    dec = decompose(el.F, cb)
+    dec = decompose(pair_indicator(el.perm), cb)
     assert dec.alpha == ((el.layer, el.slot),)
     assert dec.gc.is_zero()
 
@@ -180,6 +202,12 @@ def test_decompose_zero():
     assert dec.alpha == ()
     assert dec.gc.is_zero()
     assert all(f.is_zero() for f in dec.layer_sums)
+
+
+def test_decompose_rejects_pair_basis():
+    pb = build_canonical_pair_basis(reduce_hamp(path_graph(3)))
+    with pytest.raises(LengthMismatchError):
+        decompose(pair_indicator((1, 2, 3)), pb)
 
 
 @pytest.mark.parametrize("n", [4, 5])
@@ -197,14 +225,14 @@ def test_decompose_roundtrip(n):
         back = dec.gc
         lookup = {(el.layer, el.slot): el for el in cb.elements}
         for key in dec.alpha:
-            back = back ^ lookup[key].F
+            back = back ^ pair_indicator(lookup[key].perm)
         assert back == g
         # layer sums match their definition
         for li in range(len(cb.layers)):
             expected = 0
             for (l, s) in dec.alpha:
                 if l == li:
-                    expected ^= lookup[(l, s)].f.bits
+                    expected ^= edge_indicator(lookup[(l, s)].perm).bits
             assert dec.layer_sums[li].bits == expected
 
 
@@ -241,19 +269,3 @@ def test_own_layer_entry_equals_layer_value():
         for m in range(1, cb.k + 1):
             fm = dec.layer_sums[m]
             assert value(fm) == (fm.bits >> cb.order[m - 1]) & 1
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-def test_canonical_basis_serialization_roundtrip():
-    rng = random.Random(55)
-    G, order = random_instance(4, rng)
-    cb = build_canonical_basis(G, order=order, perm_seed=9)
-    back = CanonicalBasis.from_dict(cb.to_dict())
-    assert back.G == cb.G
-    assert back.order == cb.order
-    assert back.d == cb.d
-    assert [el.perm for el in back.elements] == [el.perm for el in cb.elements]
-    g = random_supported(G, rng)
-    assert decompose(g, back) == decompose(g, cb)

@@ -15,7 +15,7 @@ from hamtg.lab import (
     random_time_graph,
     replay_report,
     run_campaign,
-    sample_incident_combination,
+    supported_image_span,
     supported_subspace,
 )
 from hamtg.liftbasis import build_basis
@@ -111,7 +111,9 @@ def test_conjecture1_vacuous_when_complement_small():
 
 def test_conjecture2_vacuous_on_zero_decomposition():
     _, G, cb = _instance(4, 2)
-    rep = check_conjecture2(cb, PairVector.zero(4), basis_perms=build_basis(4))
+    rep = check_conjecture2(
+        cb, PairVector.zero(4), supported_image_span(G, build_basis(4))
+    )
     assert rep.verdict == "vacuous"
     assert rep.witness["j"] is None
 
@@ -126,7 +128,7 @@ def test_conjecture2_holds_on_incident_indicator():
             break
     cb = build_canonical_basis(G)
     g = pair_indicator(incident[0])
-    rep = check_conjecture2(cb, g, basis_perms=build_basis(4))
+    rep = check_conjecture2(cb, g, supported_image_span(G, build_basis(4)))
     assert rep.verdict in ("holds", "vacuous")
 
 
@@ -138,18 +140,7 @@ def test_checks_reject_unsupported_vector():
     with pytest.raises(ValueError):
         check_conjecture1(cb, g)
     with pytest.raises(ValueError):
-        check_conjecture2(cb, g, basis_perms=build_basis(n))
-
-
-def test_conjecture2_all_trailing_flag():
-    rng, G, cb = _instance(4, 3)
-    g = sample_incident_combination(G, rng)
-    rep = check_conjecture2(
-        cb, g, basis_perms=build_basis(4), all_trailing=True
-    )
-    if rep.verdict != "vacuous":
-        assert "trailing" in rep.witness
-        assert rep.witness["trailing"][0]["j"] == rep.witness["j"]
+        check_conjecture2(cb, g, supported_image_span(G, build_basis(n)))
 
 
 # ---------------------------------------------------------------------------
