@@ -19,15 +19,15 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
-from .gf2 import Gf2Basis, Vector, bit_indices
-from .permvec import EdgeVector, PairVector, diagonal, edge_indicator, pair_indicator
+from .gf2 import Gf2Basis, rank_profile
+from .permvec import EdgeVector, PairVector, diagonal, pair_indicator
 from .timegraph import (
     Permutation,
     TimeGraph,
-    all_permutations,
     check_perm_cap,
     edge_space_size,
     incident_mask,
+    permutation_table,
 )
 
 
@@ -70,13 +70,6 @@ class CanonicalBasis:
         return self.coord_basis.rank
 
 
-def _perm_sequence(n: int, seed: Optional[int]) -> list[Permutation]:
-    perms = all_permutations(n)
-    if seed is not None:
-        random.Random(seed).shuffle(perms)
-    return perms
-
-
 def _checked_order(
     G: TimeGraph, order: Optional[Sequence[int]]
 ) -> tuple[int, ...]:
@@ -95,31 +88,35 @@ def _build(
     perm_seed: Optional[int],
     cap: Optional[int],
     length: int,
-    vector: Callable[[Permutation], Vector],
+    row: Callable[[Permutation, int], int],
 ) -> CanonicalBasis:
-    """Greedy layered basis of the span of vector(p) over all permutations p.
+    """Greedy layered basis of the span of row(p, incident_mask(p)) over all p.
 
     Each layer takes its candidates in sequence order; a candidate's layer
     is the 1-based enumeration position of its last missing edge, 0 if none.
+    The candidates the greedy pass keeps are the rank profile of their rows
+    in that order.
     """
     check_perm_cap(G.n, cap)
     order = _checked_order(G, order)
     position = [0] * edge_space_size(G.n)  # 0 for the edges of G
     for pos, e in enumerate(order, 1):
         position[e] = pos
-    candidates: list[list[Permutation]] = [[] for _ in range(len(order) + 1)]
-    for p in _perm_sequence(G.n, perm_seed):
-        layer = max((position[e] for e in bit_indices(incident_mask(p))), default=0)
-        candidates[layer].append(p)
-    basis = Gf2Basis(length)
-    layers = []
-    for li, perms in enumerate(candidates):
-        kept: list[BasisElement] = []
-        for p in perms:
-            if basis.insert(vector(p)).extended:
-                kept.append(BasisElement(li, len(kept), p))
-        layers.append(tuple(kept))
-    return CanonicalBasis(G, order, tuple(layers), perm_seed, basis)
+    table = list(permutation_table(G.n))
+    if perm_seed is not None:
+        random.Random(perm_seed).shuffle(table)
+    buckets: list[list[tuple[Permutation, int]]] = [[] for _ in range(len(order) + 1)]
+    for p, mask, edges in table:
+        buckets[max(map(position.__getitem__, edges), default=0)].append((p, mask))
+    candidates = [(li, p, mask) for li, bucket in enumerate(buckets) for p, mask in bucket]
+    kept, basis = rank_profile([row(p, mask) for _, p, mask in candidates], length)
+    if basis.rank != len(kept):
+        raise InternalInconsistencyError("a rank-profile row is dependent")
+    layers: list[list[BasisElement]] = [[] for _ in buckets]
+    for i in kept:
+        li, p, _ = candidates[i]
+        layers[li].append(BasisElement(li, len(layers[li]), p))
+    return CanonicalBasis(G, order, tuple(map(tuple, layers)), perm_seed, basis)
 
 
 def build_canonical_basis(
@@ -134,7 +131,7 @@ def build_canonical_basis(
     order within each layer is lexicographic, or seeded-shuffled when
     perm_seed is given (the construction is deterministic either way).
     """
-    return _build(G, order, perm_seed, cap, edge_space_size(G.n), edge_indicator)
+    return _build(G, order, perm_seed, cap, edge_space_size(G.n), lambda p, mask: mask)
 
 
 def build_canonical_pair_basis(
@@ -147,7 +144,10 @@ def build_canonical_pair_basis(
 
     The result spans the pair span; decompose does not accept it.
     """
-    return _build(G, order, perm_seed, cap, edge_space_size(G.n) ** 2, pair_indicator)
+    return _build(
+        G, order, perm_seed, cap, edge_space_size(G.n) ** 2,
+        lambda p, mask: pair_indicator(p).bits,
+    )
 
 
 @dataclass(frozen=True)

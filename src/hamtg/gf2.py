@@ -173,6 +173,38 @@ def rank(vectors: Sequence[Vector]) -> int:
     return basis.rank
 
 
+def rank_profile(rows: Sequence[int], length: int) -> tuple[list[int], Gf2Basis]:
+    """The rows (ints of the given bit length) that extend the span of the
+    rows before them, ascending, and the echelon of those rows inserted in
+    that order, which is the basis a greedy pass over all rows ends with.
+
+    Row i extends it exactly when some vector of the column span has lowest
+    set bit i, so with fewer columns than rows the columns are eliminated
+    instead: the kept rows are the pivots of their echelon, and only those
+    rows are inserted.
+    """
+    for r in rows:
+        if r < 0 or r >> length:
+            raise ValueError(f"row has set bits beyond length {length}")
+    basis = Gf2Basis(length)
+    if length >= len(rows):
+        return [i for i, r in enumerate(rows) if basis.insert_raw(r).extended], basis
+    cols = [0] * length
+    for i, r in enumerate(rows):
+        bit = 1 << i
+        while r:
+            low = r & -r
+            cols[low.bit_length() - 1] |= bit
+            r ^= low
+    col_basis = Gf2Basis(len(rows))
+    for col in cols:
+        col_basis.insert_raw(col)
+    kept = sorted(col_basis._rows)
+    for i in kept:
+        basis.insert_raw(rows[i])
+    return kept, basis
+
+
 @dataclass(frozen=True)
 class LinearSolveResult:
     """Raw elimination outcome over int-encoded equation rows."""

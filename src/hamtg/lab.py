@@ -23,6 +23,7 @@ from typing import IO, Iterable, Optional, Sequence
 
 from .canonical import (
     CanonicalBasis,
+    Decomposition,
     InternalInconsistencyError,
     _tail_parities,
     build_canonical_basis,
@@ -150,11 +151,77 @@ class ConjectureReport:
         )
 
 
-def _base_witness(g: PairVector, dec) -> dict:
-    return {
-        "g_hex": format(g.bits, "x"),
-        "alpha": [list(a) for a in dec.alpha],
-    }
+def _decomposed(cb: CanonicalBasis, g: PairVector) -> Decomposition:
+    """g's decomposition over cb, gated on the proven tail-sum identity."""
+    if not is_supported_in(g, cb.G):
+        raise ValueError("g is not supported in G")
+    dec = decompose(g, cb)
+    if not tail_sum_check(dec, cb):
+        raise InternalInconsistencyError("tail-sum identity failed")
+    return dec
+
+
+@functools.lru_cache(maxsize=1)
+def _graph_edges(G: TimeGraph) -> tuple[int, ...]:
+    """G's edge indices; consecutive reports on one instance share the tuple."""
+    return tuple(G.edge_indices())
+
+
+def _report(
+    cb: CanonicalBasis,
+    conjecture: int,
+    g_hex: str,
+    dec: Decomposition,
+    instance_id: str,
+    verdict: str,
+    **witness,
+) -> ConjectureReport:
+    return ConjectureReport(
+        instance_id,
+        cb.G.n,
+        _graph_edges(cb.G),
+        cb.order,
+        cb.perm_seed,
+        conjecture,
+        verdict,
+        {"g_hex": g_hex, "alpha": [list(a) for a in dec.alpha], **witness},
+    )
+
+
+def _conjecture1(
+    cb: CanonicalBasis, g_hex: str, dec: Decomposition, instance_id: str
+) -> ConjectureReport:
+    k = cb.k
+    strict_tails = _tail_parities(dec, cb, strict=True)
+    failing = [m for m, acc in enumerate(strict_tails, 1) if acc]
+    if k <= 1:
+        verdict = "vacuous"
+    else:
+        verdict = "holds" if not failing else "violated"
+    return _report(
+        cb, 1, g_hex, dec, instance_id, verdict,
+        failing_m=failing,
+        # consequence data: the own-layer entry f^(m)(e_m) for each m
+        own_layer_entries=[
+            (dec.layer_sums[m].bits >> cb.order[m - 1]) & 1 for m in range(1, k + 1)
+        ],
+    )
+
+
+def _conjecture2(
+    cb: CanonicalBasis,
+    g_hex: str,
+    dec: Decomposition,
+    image_span: Gf2Basis,
+    instance_id: str,
+) -> ConjectureReport:
+    nonzero = [i for i, f in enumerate(dec.layer_sums) if not f.is_zero()]
+    if not nonzero:
+        return _report(cb, 2, g_hex, dec, instance_id, "vacuous", j=None)
+    j = max(nonzero)
+    feasible = image_span.contains(dec.layer_sums[j])
+    verdict = "holds" if feasible else "violated"
+    return _report(cb, 2, g_hex, dec, instance_id, verdict, j=j, feasible=feasible)
 
 
 def check_conjecture1(
@@ -165,34 +232,7 @@ def check_conjecture1(
     Vacuous when the complement has at most one edge.  Also gates on the
     proven tail-sum identity, which is fatal if it ever fails.
     """
-    if not is_supported_in(g, cb.G):
-        raise ValueError("g is not supported in G")
-    dec = decompose(g, cb)
-    if not tail_sum_check(dec, cb):
-        raise InternalInconsistencyError("tail-sum identity failed")
-    k = cb.k
-    strict_tails = _tail_parities(dec, cb, strict=True)
-    failing = [m for m, acc in enumerate(strict_tails, 1) if acc]
-    if k <= 1:
-        verdict = "vacuous"
-    else:
-        verdict = "holds" if not failing else "violated"
-    witness = _base_witness(g, dec)
-    witness["failing_m"] = failing
-    # consequence data: the own-layer entry f^(m)(e_m) for each m
-    witness["own_layer_entries"] = [
-        (dec.layer_sums[m].bits >> cb.order[m - 1]) & 1 for m in range(1, k + 1)
-    ]
-    return ConjectureReport(
-        instance_id,
-        cb.G.n,
-        tuple(cb.G.edge_indices()),
-        cb.order,
-        cb.perm_seed,
-        1,
-        verdict,
-        witness,
-    )
+    return _conjecture1(cb, format(g.bits, "x"), _decomposed(cb, g), instance_id)
 
 
 def check_conjecture2(
@@ -208,31 +248,8 @@ def check_conjecture2(
     of some element supported in G; image_span is the span of those images
     (supported_image_span of cb.G).  Vacuous when every layer sum is zero.
     """
-    if not is_supported_in(g, cb.G):
-        raise ValueError("g is not supported in G")
-    dec = decompose(g, cb)
-    if not tail_sum_check(dec, cb):
-        raise InternalInconsistencyError("tail-sum identity failed")
-    witness = _base_witness(g, dec)
-    nonzero = [i for i, f in enumerate(dec.layer_sums) if not f.is_zero()]
-    if not nonzero:
-        witness["j"] = None
-        verdict = "vacuous"
-    else:
-        j = max(nonzero)
-        witness["j"] = j
-        feasible = image_span.contains(dec.layer_sums[j])
-        witness["feasible"] = feasible
-        verdict = "holds" if feasible else "violated"
-    return ConjectureReport(
-        instance_id,
-        cb.G.n,
-        tuple(cb.G.edge_indices()),
-        cb.order,
-        cb.perm_seed,
-        2,
-        verdict,
-        witness,
+    return _conjecture2(
+        cb, format(g.bits, "x"), _decomposed(cb, g), image_span, instance_id
     )
 
 
@@ -358,18 +375,19 @@ def run_campaign(
             if basis_seed is not None:
                 pseed = (basis_seed * 1_000_003 + trial * 1_009 + oi) & 0x7FFFFFFF
             cb = build_canonical_basis(G, order=order, perm_seed=pseed)
+            # both conjectures and the gate read one decomposition
+            t0 = time.perf_counter()
+            dec = _decomposed(cb, g)
+            dec_ms = (time.perf_counter() - t0) * 1000.0
             by_cid: dict[int, ConjectureReport] = {}
             for cid in conjectures:
                 instance_id = f"n{n}-t{trial:04d}-o{oi}-c{cid}"
                 t0 = time.perf_counter()
                 if cid == 1:
-                    rep = check_conjecture1(cb, g, instance_id=instance_id)
+                    rep = _conjecture1(cb, g_hex, dec, instance_id)
                 else:
-                    rep = check_conjecture2(
-                        cb, g, image_span=subspace()[1], instance_id=instance_id
-                    )
-                rep.timing_ms = (time.perf_counter() - t0) * 1000.0
-                rep.witness["g_hex"] = g_hex
+                    rep = _conjecture2(cb, g_hex, dec, subspace()[1], instance_id)
+                rep.timing_ms = dec_ms + (time.perf_counter() - t0) * 1000.0
                 rep.witness["source"] = source
                 rep.witness["generator"] = generator
                 by_cid[cid] = rep
@@ -382,11 +400,10 @@ def run_campaign(
             # one conjecture; anything else is an implementation bug
             if cb.d[0] == 0 and value_pair(g) == 1:
                 implication_checks += 1
-                r1 = by_cid.get(1) or check_conjecture1(cb, g)
-                if 2 in by_cid:
-                    r2 = by_cid[2]
-                else:
-                    r2 = check_conjecture2(cb, g, image_span=subspace()[1])
+                r1 = by_cid.get(1) or _conjecture1(cb, g_hex, dec, "adhoc")
+                r2 = by_cid.get(2) or _conjecture2(
+                    cb, g_hex, dec, subspace()[1], "adhoc"
+                )
                 if r1.verdict != "violated" and r2.verdict != "violated":
                     raise InternalInconsistencyError(
                         "value-1 supported element on a non-hamiltonian "

@@ -16,7 +16,6 @@ from .timegraph import (
     Permutation,
     TimeGraph,
     check_permutation,
-    edge_from_index,
     edge_index,
     edge_space_size,
     incident_mask,
@@ -152,25 +151,8 @@ def support_mask(g: PairVector) -> int:
     return out
 
 
-def support(g: PairVector) -> frozenset[Edge]:
-    """Edges that support g, i.e. whose row carries some 1."""
-    return frozenset(
-        edge_from_index(e, g.n) for e in bit_indices(support_mask(g))
-    )
-
-
 def is_supported_in(g: PairVector, G: TimeGraph) -> bool:
     """Whether every supporting edge of g lies in G."""
     if g.n != G.n:
         raise ValueError(f"order mismatch: {g.n} vs {G.n}")
     return support_mask(g) & ~G.edges == 0
-
-
-def is_symmetric(g: PairVector) -> bool:
-    size = edge_space_size(g.n)
-    gb = g.bits
-    for a in range(size):
-        for b in range(a + 1, size):
-            if ((gb >> (a * size + b)) & 1) != ((gb >> (b * size + a)) & 1):
-                return False
-    return True

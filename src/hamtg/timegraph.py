@@ -9,6 +9,7 @@ those edge indices.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, NamedTuple
@@ -208,6 +209,20 @@ def incident_mask(p: Permutation) -> int:
     return bits
 
 
+@functools.cache
+def permutation_table(n: int) -> tuple[tuple[Permutation, int, tuple[int, ...]], ...]:
+    """(p, incident_mask(p), p's incident edge indices) for every permutation of 1..n.
+
+    Lexicographic, as all_permutations; built once per order and kept, so
+    callers check the n! cap first.
+    """
+    table = []
+    for p in itertools.permutations(range(1, n + 1)):
+        edges = tuple((t * n + (p[t] - 1)) * n + (p[t + 1] - 1) for t in range(n - 1))
+        table.append((p, sum(1 << e for e in edges), edges))
+    return tuple(table)
+
+
 def is_incident(e: Edge, p: Permutation) -> bool:
     """Whether edge (i, j, t) is incident on p, i.e. p(t) = i and p(t+1) = j."""
     check_edge(e, len(p))
@@ -224,9 +239,9 @@ def check_perm_cap(n: int, cap: int | None) -> None:
 def _incident(G: TimeGraph, cap: int | None) -> Iterator[Permutation]:
     """Permutations incident on G, lexicographically, under the n! cap."""
     check_perm_cap(G.n, cap)
-    for p in itertools.permutations(range(1, G.n + 1)):
-        m = incident_mask(p)
-        if m & G.edges == m:
+    edges = G.edges
+    for p, m, _ in permutation_table(G.n):
+        if m & edges == m:
             yield p
 
 

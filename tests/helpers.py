@@ -6,11 +6,14 @@ import random
 
 import numpy as np
 
-from hamtg.gf2 import Gf2Basis
+from hamtg.gf2 import Gf2Basis, bit_indices
+from hamtg.permvec import PairVector, support_mask
 from hamtg.timegraph import (
+    Edge,
     Graph,
     TimeGraph,
     all_permutations,
+    edge_from_index,
     edge_space_size,
     incident_mask,
 )
@@ -122,3 +125,21 @@ def canonical_layers_reference(G: TimeGraph, order, perm_seed, vector) -> list:
                     out.append((li, slot, p))
                     slot += 1
     return out
+
+
+def support(g: PairVector) -> frozenset[Edge]:
+    """Edges that support g, i.e. whose row carries some 1."""
+    return frozenset(
+        edge_from_index(e, g.n) for e in bit_indices(support_mask(g))
+    )
+
+
+def is_symmetric(g: PairVector) -> bool:
+    """Whether g(e, e') = g(e', e) for every pair of edges."""
+    size = edge_space_size(g.n)
+    gb = g.bits
+    for a in range(size):
+        for b in range(a + 1, size):
+            if ((gb >> (a * size + b)) & 1) != ((gb >> (b * size + a)) & 1):
+                return False
+    return True

@@ -185,6 +185,18 @@ def test_builders_match_per_layer_rescan(n, rng, perm_seed):
         assert got == canonical_layers_reference(G, order, perm_seed, vector)
 
 
+@pytest.mark.parametrize("seed", [0, 1])
+def test_order6_edge_builder_matches_per_layer_rescan(seed):
+    # 180 edge columns against 720 candidate rows: the column-elimination path
+    rng = random.Random(f"order6:{seed}")
+    G, order = random_instance(6, rng)
+    perm_seed = None if seed == 0 else rng.randrange(2**31)
+    cb = build_canonical_basis(G, order=order, perm_seed=perm_seed)
+    got = [(el.layer, el.slot, el.perm) for el in cb.elements]
+    assert got == canonical_layers_reference(G, order, perm_seed, edge_indicator)
+    assert cb.rank == 121
+
+
 # ---------------------------------------------------------------------------
 # decomposition
 

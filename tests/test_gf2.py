@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hamtg.gf2 import (
@@ -9,6 +9,7 @@ from hamtg.gf2 import (
     Gf2Basis,
     LengthMismatchError,
     rank,
+    rank_profile,
     solve_system,
 )
 
@@ -129,6 +130,71 @@ def test_rank_agrees_with_independent_elimination():
         sum(((rows[r] >> c) & 1) << r for r in range(20)) for c in range(30)
     ]
     assert rank(vecs) == rank_oracle(transposed, 20)
+
+
+# ---------------------------------------------------------------------------
+# rank_profile
+
+def test_rank_profile_small_cases():
+    # (length, rows, kept): both shapes, zero rows, duplicates, no rows
+    cases = [
+        (0, [], []),
+        (3, [], []),
+        (0, [0, 0], []),
+        (2, [0, 0, 0], []),
+        (4, [0, 0b0110, 0b0110, 0], [1]),
+        (2, [0b01, 0b01, 0b10, 0b11, 0b10], [0, 2]),
+        (3, [0b011, 0, 0b101, 0b110, 0b011, 0b100], [0, 2, 5]),
+        (5, [0b10000, 0b00001, 0b10001], [0, 1]),
+    ]
+    for length, rows, kept in cases:
+        got, basis = rank_profile(rows, length)
+        assert got == kept, (length, rows)
+        assert basis.length == length and basis.rank == len(kept)
+
+
+def test_rank_profile_rejects_wide_rows():
+    for rows in ([0b100], [0, 0, 0, 0b100], [-1]):
+        with pytest.raises(ValueError):
+            rank_profile(rows, 2)
+
+
+def _prefix_rank_profile(rows, length):
+    """Rows whose prefix rank exceeds the rank of the rows before them."""
+    kept, before = [], 0
+    for i in range(len(rows)):
+        r = rank_oracle(rows[: i + 1], length)
+        if r > before:
+            kept.append(i)
+        before = r
+    return kept
+
+
+profile_cases = st.integers(0, 10).flatmap(
+    lambda length: st.tuples(
+        st.just(length),
+        st.lists(st.one_of(st.just(0), st.integers(0, (1 << length) - 1)), max_size=16),
+    )
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(profile_cases, st.randoms(use_true_random=False))
+@example((0, []), random.Random(0))
+@example((3, [5, 0, 5, 3, 6, 6, 0]), random.Random(0))
+@example((8, [0, 9, 9, 0]), random.Random(0))
+def test_rank_profile_matches_prefix_ranks(case, rnd):
+    length, rows = case
+    for _ in range(rnd.randrange(4)):  # duplicate rows
+        if rows:
+            rows.insert(rnd.randrange(len(rows) + 1), rnd.choice(rows))
+    kept, basis = rank_profile(rows, length)
+    assert kept == _prefix_rank_profile(rows, length)
+    # the basis holds exactly the kept rows, original j at coordinate j
+    assert basis.length == length and basis.rank == len(kept)
+    for j, i in enumerate(kept):
+        assert basis.coords_raw(rows[i]) == (j,)
+    assert all(basis.coords_raw(r) is not None for r in rows)
 
 
 # ---------------------------------------------------------------------------

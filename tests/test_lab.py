@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import random
@@ -183,6 +184,25 @@ def test_campaign_with_basis_seed_replays():
     for rep in out["reports"]:
         assert rep.basis_seed is not None
         assert replay_report(rep.to_dict())
+
+
+def test_campaign_decomposes_once_per_order(monkeypatch):
+    calls = []
+    real = lab.decompose
+
+    def counting(g, cb):
+        calls.append(1)
+        return real(g, cb)
+
+    monkeypatch.setattr(lab, "decompose", counting)
+    reports = run_campaign(5, 20, 0, orders=2)["reports"]
+    assert len(reports) == 80
+    assert len(calls) == 20 * 2  # one per (trial, order), not one per report
+    # the reports are those of one decomposition per report
+    text = "".join(r.to_json() + "\n" for r in reports)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "33dc9cb7799e2a5a445aeb1ea618d2ad593e9e4ad20c65c88d40a7388fb84301"
+    )
 
 
 def test_implication_gate_without_conjecture2(monkeypatch):

@@ -11,10 +11,8 @@ from hamtg.permvec import (
     is_closed_cycle,
     is_cycle,
     is_supported_in,
-    is_symmetric,
     pair_indicator,
     row_at,
-    support,
     value,
     value_pair,
 )
@@ -28,7 +26,7 @@ from hamtg.timegraph import (
     reduce_hamp,
 )
 
-from helpers import path_graph
+from helpers import is_symmetric, path_graph, support
 
 
 def xor_all(vectors, zero):
