@@ -196,13 +196,31 @@ def rank_profile(rows: Sequence[int], length: int) -> tuple[list[int], Gf2Basis]
             low = r & -r
             cols[low.bit_length() - 1] |= bit
             r ^= low
-    col_basis = Gf2Basis(len(rows))
-    for col in cols:
-        col_basis.insert_raw(col)
-    kept = sorted(col_basis._rows)
+    kept = column_rank_profile(cols, len(rows))
     for i in kept:
         basis.insert_raw(rows[i])
     return kept, basis
+
+
+def column_rank_profile(cols: Iterable[int], nrows: int) -> list[int]:
+    """The rank profile of a matrix given by its columns (bit i of each is
+    row i): ascending, the rows that extend the span of the rows before
+    them.  These are the lowest set bits of the vectors in the columns'
+    span, read off an echelon keyed by lowest bit; zero columns may be
+    left out.
+    """
+    pivots: dict[int, int] = {}  # lowest set bit, as a power of two -> row
+    for r in cols:
+        if r < 0 or r >> nrows:
+            raise ValueError(f"column has set bits beyond {nrows} rows")
+        while r:
+            low = r & -r
+            hit = pivots.get(low)
+            if hit is None:
+                pivots[low] = r
+                break
+            r ^= hit
+    return sorted(low.bit_length() - 1 for low in pivots)
 
 
 @dataclass(frozen=True)
@@ -226,17 +244,21 @@ class LinearSolveResult:
             return ()
         rows = self._echelon._rows
         nvars = self._echelon.length - 1
-        null = {f: 1 << f for f in range(nvars) if f not in rows}
+        free_mask = (1 << nvars) - 1
+        for p in rows:
+            free_mask ^= 1 << p
+        null = {f: 1 << f for f in bit_indices(free_mask)}
         done: dict[int, int] = {}
+        above = 0  # the pivots already back-substituted, all higher than p
         for p in sorted(rows, reverse=True):
             r = rows[p][0]
-            for q in bit_indices(r)[1:]:
-                if q in done:
-                    r ^= done[q]
+            # a done row carries no pivot but its own, so these bits stay put
+            for q in bit_indices(r & above):
+                r ^= done[q]
             done[p] = r
-            for f in bit_indices(r)[1:]:
-                if f != nvars:
-                    null[f] |= 1 << p
+            above |= 1 << p
+            for f in bit_indices(r & free_mask):
+                null[f] |= 1 << p
         return tuple(null.values())
 
 

@@ -34,7 +34,6 @@ from .gf2 import Gf2Basis, bit_indices, rank, solve_system
 from .liftbasis import build_basis
 from .permvec import (
     PairVector,
-    diagonal,
     edge_indicator,
     is_supported_in,
     pair_indicator,
@@ -48,6 +47,7 @@ from .timegraph import (
     all_permutations,
     edge_space_size,
     hamiltonian_path_oracle,
+    incident_mask,
     incident_permutations,
     reduce_hamp,
 )
@@ -81,12 +81,20 @@ def _combine(
 
 
 def _image_span(
-    n: int, coeff_space: Iterable[int], pair_cache: Sequence[PairVector]
+    n: int, coeff_space: Iterable[int], incident_masks: Sequence[int]
 ) -> Gf2Basis:
-    """Span of the diagonal images of the combinations the masks select."""
+    """Span of the diagonal images of the combinations the masks select.
+
+    The diagonal of a permutation's pair indicator is its incident edge
+    mask, so a combination's image is the xor of the selected
+    incident_masks (one per basis permutation).
+    """
     span = Gf2Basis(edge_space_size(n))
     for mask in coeff_space:
-        span.insert(diagonal(_combine(n, pair_cache, bit_indices(mask))))
+        image = 0
+        for k in bit_indices(mask):
+            image ^= incident_masks[k]
+        span.insert_raw(image)
     return span
 
 
@@ -105,14 +113,11 @@ def supported_subspace(
 
 
 def supported_image_span(
-    G: TimeGraph,
-    basis_perms: Sequence[Permutation],
-    pair_cache: Optional[Sequence[PairVector]] = None,
+    G: TimeGraph, basis_perms: Sequence[Permutation]
 ) -> Gf2Basis:
     """Span of diagonal images of the supported subspace."""
-    if pair_cache is None:
-        pair_cache = [pair_indicator(p) for p in basis_perms]
-    return _image_span(G.n, supported_coefficient_space(G, basis_perms), pair_cache)
+    coeff_space = supported_coefficient_space(G, basis_perms)
+    return _image_span(G.n, coeff_space, [incident_mask(p) for p in basis_perms])
 
 
 # ---------------------------------------------------------------------------
@@ -337,6 +342,7 @@ def run_campaign(
     """
     basis_perms = build_basis(n, cache_dir=cache_dir)
     pair_cache = [pair_indicator(p) for p in basis_perms]
+    incident_masks = [incident_mask(p) for p in basis_perms]
     reports: list[ConjectureReport] = []
     counts = {"holds": 0, "violated": 0, "vacuous": 0}
     implication_checks = 0
@@ -354,7 +360,7 @@ def run_campaign(
         def subspace() -> tuple[list[int], Gf2Basis]:
             """This trial's supported coefficient space and its image span, once."""
             coeff_space = supported_coefficient_space(G, basis_perms)
-            return coeff_space, _image_span(n, coeff_space, pair_cache)
+            return coeff_space, _image_span(n, coeff_space, incident_masks)
 
         g_rng = random.Random(f"{seed}:{n}:{trial}:g")
         if generator == "incident-xor":
@@ -447,7 +453,7 @@ def audit_false_positive(
     if not is_supported_in(gw, T) or value_pair(gw) != 1:
         raise InternalInconsistencyError("decision witness is not a valid combination")
     cb = build_canonical_basis(T)
-    image_span = supported_image_span(T, basis_perms, pair_cache)
+    image_span = supported_image_span(T, basis_perms)
     r1 = check_conjecture1(cb, gw, instance_id="audit-c1")
     r2 = check_conjecture2(cb, gw, image_span=image_span, instance_id="audit-c2")
     ok = r1.verdict == "violated" or r2.verdict == "violated"

@@ -16,25 +16,32 @@ from functools import lru_cache
 from typing import Optional, Sequence
 
 from .canonical import InternalInconsistencyError
-from .gf2 import bit_indices, solve_system
+from .gf2 import bit_indices, column_rank_profile, solve_system
 from .liftbasis import build_basis
 from .timegraph import (
     Graph,
     Permutation,
     TimeGraph,
-    edge_index,
+    check_permutation,
     edge_space_size,
-    incident_edges,
+    incident_mask,
     reduce_hamp,
 )
 
 
 @dataclass(frozen=True)
 class LinearSystem:
+    """The feasibility system of one time-graph over one basis, pruned.
+
+    The dropped rows are each in the span of kept rows before them, so the
+    pruned system has the full one's solutions, rank and echelon.
+    """
+
     n: int
     nvars: int
     # coefficient masks over the basis: rows[0] is the value row (all ones,
-    # rhs 1), every later row a pair row with rhs 0
+    # rhs 1), every later row a pair row with rhs 0; zero rows, duplicate
+    # rows and rows dependent within their missing edge's block are dropped
     rows: tuple[int, ...]
     raw_rows: int  # constraints of the full system before pruning
 
@@ -44,7 +51,7 @@ class Decision:
     answer: bool
     witness: Optional[tuple[int, ...]]  # basis indices with coefficient 1
     nvars: int
-    rows: int
+    rows: int  # rows of the pruned system, as LinearSystem.rows
     raw_rows: int
     rank: int
 
@@ -55,16 +62,40 @@ def incidence_columns(n: int, basis_perms: Sequence[Permutation]) -> list[int]:
     for i, p in enumerate(basis_perms):
         if len(p) != n:
             raise ValueError(f"basis permutation {p} is not of order {n}")
+        check_permutation(p)
         bit = 1 << i
-        for e in incident_edges(p):
-            cols[edge_index(e, n)] |= bit
+        # edge (p[t], p[t+1], t+1) at its edge_index
+        for t in range(n - 1):
+            cols[(t * n + p[t] - 1) * n + p[t + 1] - 1] |= bit
     return cols
 
 
+# What every decision over one basis shares, built once per basis (a plain
+# tuple: a dataclass here would cost a millisecond of import time):
+# - cols, the incidence_columns;
+# - partners, per edge e ascending, the e' whose row cols[e] & cols[e']
+#   extends the span of e's rows for lower e' (the block's rank profile);
+# - masks, per basis permutation, its incident edge mask.
+_BasisTables = tuple[tuple[int, ...], tuple[tuple[int, ...], ...], tuple[int, ...]]
+
+
 @lru_cache(maxsize=4)
-def _basis_columns(n: int, basis_perms: tuple[Permutation, ...]) -> tuple[int, ...]:
-    # the columns depend only on the basis, which every decision of a run shares
-    return tuple(incidence_columns(n, basis_perms))
+def _basis_tables(n: int, basis_perms: tuple[Permutation, ...]) -> _BasisTables:
+    cols = incidence_columns(n, basis_perms)
+    masks = tuple(incident_mask(p) for p in basis_perms)
+    # in e's block (row e' is cols[e] & cols[e']) the column of a basis
+    # permutation through e is its incident mask and every other column is
+    # zero, so the block's rank profile needs only those few masks
+    partners = tuple(
+        tuple(column_rank_profile([masks[i] for i in bit_indices(ce)], len(cols)))
+        for ce in cols
+    )
+    return tuple(cols), partners, masks
+
+
+def _tables(n: int, basis_perms: Sequence[Permutation]) -> _BasisTables:
+    # keyed on the permutations themselves, so a basis given as lists works
+    return _basis_tables(n, tuple(map(tuple, basis_perms)))
 
 
 def assemble_system(G: TimeGraph, basis_perms: Sequence[Permutation]) -> LinearSystem:
@@ -73,47 +104,56 @@ def assemble_system(G: TimeGraph, basis_perms: Sequence[Permutation]) -> LinearS
 
     The pair constraint coefficient for basis element i is 1 exactly when
     both e and e' are incident on permutation i, so each row is the AND of
-    two incidence columns.  All-zero rows are dropped and duplicate rows
-    are emitted once, in first-seen order; both are pure optimizations.
-    Pairs whose row would be dropped are never visited: e' in e's layer
-    other than e itself (a permutation meets one edge per layer, so the row
-    is zero), and a missing e' in a lower layer (its row was made at (e', e)).
+    two incidence columns.  Only e's partners are visited: a row outside
+    them is the sum of e's rows for lower e', which come earlier, so it
+    reduces to zero with rhs 0 and never changes the echelon, the rank or
+    where an inconsistency shows.  A missing partner e' < e is skipped too,
+    its row was made at (e', e).  Duplicate rows are emitted once, in
+    first-seen order; every kept row is nonzero.
     """
-    n = G.n
-    nvars = len(basis_perms)
-    cols = _basis_columns(n, tuple(basis_perms))
-    layer = n * n
-    # per layer t: columns of the present edges below it, of all edges above it
-    below = [
-        [cols[i] for i in bit_indices(G.edges & ((1 << t * layer) - 1))]
-        for t in range(n - 1)
-    ]
-    above = [cols[(t + 1) * layer :] for t in range(n - 1)]
+    cols, partners, masks = _tables(G.n, basis_perms)
+    edges = G.edges
     complement = G.complement_indices()
     # pair rows once each, in first-seen order (a dict keeps insertion order)
     pairs = dict.fromkeys(
-        ce & c
+        cols[e] & cols[f]
         for e in complement
-        if (ce := cols[e])
-        for c in (*below[e // layer], ce, *above[e // layer])
+        for f in partners[e]
+        if f >= e or edges >> f & 1
     )
-    pairs.pop(0, None)  # the all-zero row
-    raw = 1 + len(complement) * edge_space_size(n)
-    return LinearSystem(n, nvars, ((1 << nvars) - 1, *pairs), raw)
+    nvars = len(masks)
+    raw = 1 + len(complement) * len(cols)
+    return LinearSystem(G.n, nvars, ((1 << nvars) - 1, *pairs), raw)
 
 
 def decide_time_graph(
     G: TimeGraph, basis_perms: Sequence[Permutation]
 ) -> Decision:
-    """Decide feasibility of the assembled system for a time-graph."""
+    """Decide feasibility of the assembled system for a time-graph.
+
+    A "yes" is checked against G itself, not against the pruned rows: the
+    witness must have odd size, and for every missing edge e the incident
+    masks of the witness permutations through e must xor to zero, which is
+    every (e, e') constraint at once.
+    """
+    # through the public assemble_system, which tracers hook
     system = assemble_system(G, basis_perms)
     rows = system.rows
     res = solve_system(rows, (1,) + (0,) * (len(rows) - 1), system.nvars)
     x = res.x
     if x is None:
         return Decision(False, None, system.nvars, len(rows), system.raw_rows, res.rank)
-    if x.bit_count() & 1 != 1 or any((x & m).bit_count() & 1 for m in rows[1:]):
-        raise InternalInconsistencyError("witness fails the assembled system")
+    if x.bit_count() & 1 != 1:
+        raise InternalInconsistencyError("witness has even parity")
+    cols, _, masks = _tables(G.n, basis_perms)
+    for e in G.complement_indices():
+        acc = 0
+        for i in bit_indices(x & cols[e]):
+            acc ^= masks[i]
+        if acc:
+            raise InternalInconsistencyError(
+                f"witness fails the constraints of missing edge {e}"
+            )
     return Decision(
         True,
         tuple(bit_indices(x)),

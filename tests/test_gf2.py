@@ -8,6 +8,7 @@ from hamtg.gf2 import (
     BitVec,
     Gf2Basis,
     LengthMismatchError,
+    column_rank_profile,
     rank,
     rank_profile,
     solve_system,
@@ -195,6 +196,23 @@ def test_rank_profile_matches_prefix_ranks(case, rnd):
     for j, i in enumerate(kept):
         assert basis.coords_raw(rows[i]) == (j,)
     assert all(basis.coords_raw(r) is not None for r in rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(profile_cases, st.randoms(use_true_random=False))
+def test_column_rank_profile_matches_prefix_ranks(case, rnd):
+    # the same profile read off the columns, in any order, zero ones left out
+    length, rows = case
+    cols = [sum((r >> c & 1) << i for i, r in enumerate(rows)) for c in range(length)]
+    cols = [c for c in cols if c]
+    rnd.shuffle(cols)
+    assert column_rank_profile(cols, len(rows)) == _prefix_rank_profile(rows, length)
+
+
+def test_column_rank_profile_rejects_tall_columns():
+    for cols in ([0b100], [0, 0b1, 0b100], [-1]):
+        with pytest.raises(ValueError):
+            column_rank_profile(cols, 2)
 
 
 # ---------------------------------------------------------------------------

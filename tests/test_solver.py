@@ -5,6 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hamtg import solver
+from hamtg.canonical import InternalInconsistencyError
+from hamtg.gf2 import Gf2Basis, rank_profile, solve_system
 from hamtg.liftbasis import build_basis
 from hamtg.permvec import pair_indicator, value_pair, is_supported_in
 from hamtg.solver import (
@@ -15,8 +18,10 @@ from hamtg.solver import (
 from hamtg.timegraph import (
     Graph,
     TimeGraph,
+    edge_from_index,
     edge_space_size,
     hamiltonian_path_oracle,
+    is_incident,
     reduce_hamp,
 )
 
@@ -108,7 +113,8 @@ def test_witness_satisfies_every_row():
         x = 0
         for k in decision.witness:
             x |= 1 << k
-        rows = assemble_system(T, perms).rows
+        # the full loop's rows, not only the kept ones
+        rows = assemble_rows_reference(T, perms)
         parities = [(x & m).bit_count() & 1 for m in rows]
         assert parities == [1] + [0] * (len(rows) - 1)
 
@@ -155,24 +161,71 @@ def time_graphs(draw):
     return reduce_hamp(Graph.from_edges(n, chosen))
 
 
+def _solutions(rows, nvars):
+    """solve_system on the augmented rows and on the homogeneous ones."""
+    zeros = (0,) * (len(rows) - 1)
+    out = []
+    for system, rhs in ((rows, (1, *zeros)), (rows[1:], zeros)):
+        res = solve_system(system, rhs, nvars)
+        out.append((res.consistent, res.x, res.rank, res.nullspace))
+    return out
+
+
+def _check_against_reference(T, perms):
+    """The kept rows against the full loop's rows.
+
+    Kept rows are reference rows; every reference pair row that extends
+    the span of the reference rows before it is kept, in the same relative
+    order; and both systems solve alike, augmented and homogeneous.  (A
+    kept dependent row may come later than its first reference occurrence,
+    whose own block dropped it.)
+    """
+    system = assemble_system(T, perms)
+    ref = assemble_rows_reference(T, perms)
+    kept = list(system.rows)
+    assert kept[0] == ref[0]
+    assert set(kept) <= set(ref)
+    echelon = Gf2Basis(len(perms))
+    extending = [r for r in ref[1:] if echelon.insert_raw(r).extended]
+    place = {r: k for k, r in enumerate(kept)}
+    assert all(r in place for r in extending)
+    assert [place[r] for r in extending] == sorted(place[r] for r in extending)
+    assert _solutions(kept, len(perms)) == _solutions(ref, len(perms))
+    assert system.raw_rows == 1 + len(T.complement_indices()) * edge_space_size(T.n)
+    return system
+
+
 @settings(max_examples=60, deadline=None)
 @given(time_graphs())
 def test_assembly_matches_full_loop_reference(T):
-    # the pruned pair visits keep exactly the rows of the full loop, in order
+    # the pruned pair visits keep the full loop's independent rows, in
+    # order, and solve exactly as the full loop's rows do
+    _check_against_reference(T, build_basis(T.n))
+
+
+@settings(max_examples=15, deadline=None)
+@given(time_graphs())
+def test_assembly_matches_reference_on_reversed_and_list_bases(T):
     perms = build_basis(T.n)
-    system = assemble_system(T, perms)
-    assert list(system.rows) == assemble_rows_reference(T, perms)
-    assert system.raw_rows == 1 + len(T.complement_indices()) * edge_space_size(T.n)
+    _check_against_reference(T, perms[::-1])
+    _check_against_reference(T, [list(p) for p in perms])
+
+
+def test_pruned_rows_drop_dependent_rows():
+    # the star on 5 vertices keeps 157 of the full loop's 313 rows
+    perms = build_basis(5)
+    T = reduce_hamp(star_graph(4))
+    system = _check_against_reference(T, perms)
+    assert len(system.rows) < 0.55 * len(assemble_rows_reference(T, perms))
 
 
 def test_columns_follow_the_basis_order():
-    # a second basis of the same order must not reuse the first one's columns
+    # a second basis of the same order must not reuse the first one's tables
     perms = build_basis(4)
     T = reduce_hamp(path_graph(4))
     decide_time_graph(T, perms)
     reversed_perms = perms[::-1]
-    system = assemble_system(T, reversed_perms)
-    assert list(system.rows) == assemble_rows_reference(T, reversed_perms)
+    _check_against_reference(T, reversed_perms)
     decision = decide_time_graph(T, reversed_perms)
     assert decision.answer
     combo = pair_indicator(reversed_perms[decision.witness[0]])
@@ -180,3 +233,52 @@ def test_columns_follow_the_basis_order():
         combo = combo ^ pair_indicator(reversed_perms[k])
     assert is_supported_in(combo, T)
     assert value_pair(combo) == 1
+
+
+def test_partners_are_each_blocks_rank_profile():
+    # the table, read off the incident masks, is the rank profile of each
+    # edge's block of pair rows cols[e] & cols[e'] in ascending e'
+    for n in (3, 4, 5):
+        for perms in (build_basis(n), build_basis(n)[::-1]):
+            cols, partners, _ = solver._basis_tables(n, tuple(perms))
+            assert list(cols) == [
+                sum(1 << i for i, p in enumerate(perms) if is_incident(edge_from_index(e, n), p))
+                for e in range(edge_space_size(n))
+            ]
+            assert partners == tuple(
+                tuple(rank_profile([ce & c for c in cols], len(perms))[0])
+                for ce in cols
+            )
+
+
+def test_list_basis_decides_like_tuple_basis():
+    perms = build_basis(4)
+    as_lists = [list(p) for p in perms]
+    for g in [path_graph(4), star_graph(3), Graph.complete(4), Graph(4)]:
+        T = reduce_hamp(g)
+        assert decide_time_graph(T, as_lists) == decide_time_graph(T, perms)
+
+
+def test_corrupted_partner_table_never_gives_an_unchecked_yes(monkeypatch):
+    # with every partner block cut to its first partner the system loses
+    # constraints; the witness check reads G, not the rows, so a wrong yes
+    # must surface as an InternalInconsistencyError
+    perms = build_basis(4)
+    honest = {g: decide_time_graph(reduce_hamp(g), perms) for g in all_graphs(4)}
+    real = solver._basis_tables
+
+    def truncated(n, basis_perms):
+        cols, partners, masks = real(n, basis_perms)
+        return cols, tuple(block[:1] for block in partners), masks
+
+    monkeypatch.setattr(solver, "_basis_tables", truncated)
+    caught = []
+    for g, expected in honest.items():
+        try:
+            decision = decide_time_graph(reduce_hamp(g), perms)
+        except InternalInconsistencyError:
+            caught.append(g)
+            continue
+        assert decision.answer == expected.answer
+    # the search finds a no-instance the truncated rows would have passed
+    assert any(not hamiltonian_path_oracle(g) for g in caught)
