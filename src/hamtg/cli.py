@@ -3,7 +3,10 @@
 Subcommands: reduce, oracle, basis, dim, solve, conjectures, crossval.
 Output is JSON on stdout (or --out); `solve` exits 10 for yes and 11 for
 no, `crossval` exits 1 when the decider gave a false negative (an
-implementation bug), everything else exits 0 on success.  The basis cache
+implementation bug), everything else exits 0 on success.  An input file
+that cannot be read or parsed, or an order beyond a scale cap, exits 2,
+as argparse's usage errors do, with one JSON line {"error": <exception
+class>, "message": ...} on stderr and nothing on stdout.  The basis cache
 directory comes from --cache-dir or the HAMTG_CACHE_DIR environment
 variable.
 """
@@ -14,12 +17,17 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 from . import lab, liftbasis, solver, timegraph
 
 EXIT_YES = 10
 EXIT_NO = 11
+EXIT_INPUT = 2
+
+
+class _InputFileError(Exception):
+    """An input file could not be read or parsed; the cause is the error raised."""
 
 
 def _emit(obj, out: Optional[str]) -> None:
@@ -33,8 +41,15 @@ def _write(text: str, out: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
+def _read(path: str, parse: Callable[[str], object]):
+    try:
+        return parse(Path(path).read_text())
+    except (OSError, ValueError) as exc:
+        raise _InputFileError from exc
+
+
 def _read_graph(path: str) -> timegraph.Graph:
-    return timegraph.Graph.from_text(Path(path).read_text())
+    return _read(path, timegraph.Graph.from_text)
 
 
 def cmd_reduce(args) -> int:
@@ -49,7 +64,7 @@ def cmd_reduce(args) -> int:
 
 def cmd_oracle(args) -> int:
     if args.timegraph:
-        T = timegraph.TimeGraph.from_text(Path(args.input).read_text())
+        T = _read(args.input, timegraph.TimeGraph.from_text)
         answer = timegraph.is_hamiltonian_oracle(T, cap=args.cap)
         _emit({"n": T.n, "hamiltonian": int(answer)}, args.out)
     else:
@@ -205,7 +220,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (_InputFileError, timegraph.OracleScaleError) as exc:
+        err = exc.__cause__ if isinstance(exc, _InputFileError) else exc
+        error = {"error": type(err).__name__, "message": str(err)}
+        print(json.dumps(error), file=sys.stderr)
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

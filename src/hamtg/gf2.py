@@ -2,9 +2,11 @@
 
 Vectors are arbitrary-precision Python integers of a fixed length (a
 ``BitVec`` here, an indicator vector in ``permvec``): addition is integer
-xor.  ``Gf2Basis`` is the one elimination kernel: an echelon keyed by
-lowest-set-bit pivot, against which a vector is reduced only at the pivots
-it hits.  All results are bit-exact.
+xor.  Elimination keeps an echelon keyed by lowest-set-bit pivot, against
+which a vector is reduced only at the pivots it hits: ``Gf2Basis`` for
+spans that report a vector's combination over the inserted originals, and
+``solve_system``'s own loop, which keeps only the rows, for one linear
+system.  All results are bit-exact.
 """
 
 from __future__ import annotations
@@ -230,8 +232,10 @@ class LinearSolveResult:
     consistent: bool
     x: Optional[int]  # particular solution (free variables zero); None when inconsistent
     rank: int  # coefficient-matrix rank of the rows processed
-    # the augmented echelon of a consistent system, rhs at bit position nvars
-    _echelon: Optional[Gf2Basis] = field(default=None, repr=False, compare=False)
+    # the augmented echelon of a consistent system, pivot -> row with the
+    # rhs at bit position nvars
+    _pivots: Optional[dict[int, int]] = field(default=None, repr=False, compare=False)
+    _nvars: int = field(default=0, repr=False, compare=False)
 
     @cached_property
     def nullspace(self) -> tuple[int, ...]:
@@ -240,18 +244,17 @@ class LinearSolveResult:
         Built on first read by back-substituting the echelon, highest pivot
         first; empty for an inconsistent system.
         """
-        if self._echelon is None:
+        rows = self._pivots
+        if rows is None:
             return ()
-        rows = self._echelon._rows
-        nvars = self._echelon.length - 1
-        free_mask = (1 << nvars) - 1
+        free_mask = (1 << self._nvars) - 1
         for p in rows:
             free_mask ^= 1 << p
         null = {f: 1 << f for f in bit_indices(free_mask)}
         done: dict[int, int] = {}
         above = 0  # the pivots already back-substituted, all higher than p
         for p in sorted(rows, reverse=True):
-            r = rows[p][0]
+            r = rows[p]
             # a done row carries no pivot but its own, so these bits stay put
             for q in bit_indices(r & above):
                 r ^= done[q]
@@ -267,24 +270,31 @@ def solve_system(
 ) -> LinearSolveResult:
     """Solve the system given by equation rows (variable masks) and rhs bits.
 
-    Stops at the first row that reduces to 0 = 1; the reported rank then
-    covers only the rows seen up to that witness.
+    Each augmented row (rhs at bit nvars) is reduced at the pivots it hits
+    of an echelon keyed by lowest set bit.  Stops at the first row that
+    reduces to 0 = 1; the reported rank then covers only the rows seen up
+    to that witness.
     """
-    basis = Gf2Basis(nvars + 1)  # augmented rows, rhs at bit position nvars
     inconsistent = 1 << nvars
+    pivots: dict[int, int] = {}
     for row, b in zip(rows, rhs):
         if row < 0 or row >> nvars:
             raise ValueError(f"row has coefficients beyond {nvars} variables")
-        # rows go in without combos or originals: solving reads only the rows
-        r, _ = basis._reduce(row | (b & 1) << nvars)
-        if r == inconsistent:
-            return LinearSolveResult(False, None, basis.rank)
-        if r:
-            basis._rows[(r & -r).bit_length() - 1] = (r, 0)
+        r = row | (b & 1) << nvars
+        while r:
+            p = (r & -r).bit_length() - 1
+            hit = pivots.get(p)
+            if hit is None:
+                # bit nvars is never a pivot, so 0 = 1 ends up here
+                if r == inconsistent:
+                    return LinearSolveResult(False, None, len(pivots))
+                pivots[p] = r
+                break
+            r ^= hit
     # with free variables zero, each pivot variable is its row's rhs plus the
     # parity of the already-solved higher pivots the row meets
     x = 0
-    for p in sorted(basis._rows, reverse=True):
-        r = basis._rows[p][0]
+    for p in sorted(pivots, reverse=True):
+        r = pivots[p]
         x |= ((r >> nvars) ^ (r & x).bit_count() & 1) << p
-    return LinearSolveResult(True, x, basis.rank, basis)
+    return LinearSolveResult(True, x, len(pivots), pivots, nvars)

@@ -494,7 +494,7 @@ def crossval(
     plus the per-instance implication audit.
     """
     basis_perms = build_basis(n, cache_dir=cache_dir)
-    pair_cache = [pair_indicator(p) for p in basis_perms]
+    pair_cache: Optional[list[PairVector]] = None  # built at the first false positive
     if exhaustive:
         graphs: Iterable[Graph] = _all_graphs(n)
         source = {"kind": "exhaustive"}
@@ -516,6 +516,8 @@ def crossval(
         elif not decision.answer and not oracle:
             agree_no += 1
         elif decision.answer and not oracle:
+            if pair_cache is None:
+                pair_cache = [pair_indicator(p) for p in basis_perms]
             audit = audit_false_positive(g, decision.witness or (), basis_perms, pair_cache)
             false_positives.append(
                 {"graph_pairs": sorted(g.pairs), "audit": audit}

@@ -11,7 +11,7 @@ is surfaced as a counterexample candidate rather than an error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Optional, Sequence
 
@@ -44,6 +44,8 @@ class LinearSystem:
     # rows and rows dependent within their missing edge's block are dropped
     rows: tuple[int, ...]
     raw_rows: int  # constraints of the full system before pruning
+    # the basis tables the rows were read from, for the witness check
+    _tables: Optional[_BasisTables] = field(default=None, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -75,14 +77,19 @@ def incidence_columns(n: int, basis_perms: Sequence[Permutation]) -> list[int]:
 # - cols, the incidence_columns;
 # - partners, per edge e ascending, the e' whose row cols[e] & cols[e']
 #   extends the span of e's rows for lower e' (the block's rank profile);
-# - masks, per basis permutation, its incident edge mask.
-_BasisTables = tuple[tuple[int, ...], tuple[tuple[int, ...], ...], tuple[int, ...]]
+# - masks, per basis permutation, its incident edge mask;
+# - live, the mask of the edges with a nonzero column (no self-loop is
+#   ever live), the only edges whose rows or witness checks can be nonzero.
+_BasisTables = tuple[tuple[int, ...], tuple[tuple[int, ...], ...], tuple[int, ...], int]
 
 
 @lru_cache(maxsize=4)
 def _basis_tables(n: int, basis_perms: tuple[Permutation, ...]) -> _BasisTables:
     cols = incidence_columns(n, basis_perms)
     masks = tuple(incident_mask(p) for p in basis_perms)
+    live = 0
+    for m in masks:
+        live |= m
     # in e's block (row e' is cols[e] & cols[e']) the column of a basis
     # permutation through e is its incident mask and every other column is
     # zero, so the block's rank profile needs only those few masks
@@ -90,7 +97,7 @@ def _basis_tables(n: int, basis_perms: tuple[Permutation, ...]) -> _BasisTables:
         tuple(column_rank_profile([masks[i] for i in bit_indices(ce)], len(cols)))
         for ce in cols
     )
-    return tuple(cols), partners, masks
+    return tuple(cols), partners, masks, live
 
 
 def _tables(n: int, basis_perms: Sequence[Permutation]) -> _BasisTables:
@@ -111,19 +118,20 @@ def assemble_system(G: TimeGraph, basis_perms: Sequence[Permutation]) -> LinearS
     its row was made at (e', e).  Duplicate rows are emitted once, in
     first-seen order; every kept row is nonzero.
     """
-    cols, partners, masks = _tables(G.n, basis_perms)
+    tables = _tables(G.n, basis_perms)
+    cols, partners, masks, live = tables
     edges = G.edges
-    complement = G.complement_indices()
-    # pair rows once each, in first-seen order (a dict keeps insertion order)
+    # pair rows once each, in first-seen order (a dict keeps insertion
+    # order); a missing edge outside live has no partners
     pairs = dict.fromkeys(
         cols[e] & cols[f]
-        for e in complement
+        for e in bit_indices(live & ~edges)
         for f in partners[e]
         if f >= e or edges >> f & 1
     )
     nvars = len(masks)
-    raw = 1 + len(complement) * len(cols)
-    return LinearSystem(G.n, nvars, ((1 << nvars) - 1, *pairs), raw)
+    raw = 1 + (len(cols) - edges.bit_count()) * len(cols)
+    return LinearSystem(G.n, nvars, ((1 << nvars) - 1, *pairs), raw, tables)
 
 
 def decide_time_graph(
@@ -145,8 +153,9 @@ def decide_time_graph(
         return Decision(False, None, system.nvars, len(rows), system.raw_rows, res.rank)
     if x.bit_count() & 1 != 1:
         raise InternalInconsistencyError("witness has even parity")
-    cols, _, masks = _tables(G.n, basis_perms)
-    for e in G.complement_indices():
+    # a missing edge outside live meets no basis permutation
+    cols, _, masks, live = system._tables
+    for e in bit_indices(live & ~G.edges):
         acc = 0
         for i in bit_indices(x & cols[e]):
             acc ^= masks[i]

@@ -262,13 +262,23 @@ def reduce_hamp(g: Graph) -> TimeGraph:
     visits (v_1, ..., v_n) iff the permutation it spells is incident on the
     reduction.
     """
-    n = g.n
+    masks = _pair_masks(g.n)
     bits = 0
-    for a, b in g.pairs:
-        for t in range(1, n):
-            bits |= 1 << edge_index(Edge(a, b, t), n)
-            bits |= 1 << edge_index(Edge(b, a, t), n)
-    return TimeGraph(n, bits)
+    for pair in g.pairs:
+        bits |= masks[pair]
+    return TimeGraph(g.n, bits)
+
+
+@functools.cache
+def _pair_masks(n: int) -> dict[tuple[int, int], int]:
+    """Per vertex pair a < b, the edges (a, b, t) and (b, a, t) of every layer t."""
+    masks = {}
+    for i, j in itertools.combinations(range(n), 2):  # a - 1, b - 1
+        bits = 0
+        for t in range(n - 1):
+            bits |= 1 << (t * n + i) * n + j | 1 << (t * n + j) * n + i
+        masks[i + 1, j + 1] = bits
+    return masks
 
 
 def hamiltonian_path_oracle(g: Graph, cap: int | None = None) -> bool:

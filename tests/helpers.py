@@ -14,6 +14,7 @@ from hamtg.timegraph import (
     TimeGraph,
     all_permutations,
     edge_from_index,
+    edge_index,
     edge_space_size,
     incident_mask,
 )
@@ -75,6 +76,18 @@ def petersen() -> Graph:
     spokes = [(1, 6), (2, 7), (3, 8), (4, 9), (5, 10)]
     inner = [(6, 8), (8, 10), (10, 7), (7, 9), (9, 6)]
     return Graph.from_edges(10, outer + spokes + inner)
+
+
+def reduce_hamp_reference(g: Graph) -> TimeGraph:
+    """The reduction by its definition: edges (a, b, t) and (b, a, t) of
+    every graph edge {a, b} at every layer t, each placed by edge_index."""
+    n = g.n
+    bits = 0
+    for a, b in g.pairs:
+        for t in range(1, n):
+            bits |= 1 << edge_index(Edge(a, b, t), n)
+            bits |= 1 << edge_index(Edge(b, a, t), n)
+    return TimeGraph(n, bits)
 
 
 def assemble_rows_reference(G: TimeGraph, perms) -> list[int]:

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import hamtg
-from hamtg.cli import EXIT_NO, EXIT_YES, main
+from hamtg.cli import EXIT_INPUT, EXIT_NO, EXIT_YES, main
 from hamtg.timegraph import Graph, TimeGraph
 
 from helpers import path_graph, star_graph
@@ -156,3 +156,48 @@ def test_conjectures_out_file_appends(tmp_path):
     first = out.read_text()
     assert main(argv) == 0
     assert out.read_text() == first * 2  # append-only report log
+
+
+def _input_error(capsys, argv) -> dict:
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == EXIT_INPUT
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    return json.loads(line)
+
+
+@pytest.mark.parametrize("command", ["solve", "reduce", "oracle"])
+def test_malformed_graph_file_exits_with_input_error(capsys, tmp_path, command):
+    path = tmp_path / "bad.txt"
+    path.write_text("5\n1 9\n")
+    error = _input_error(capsys, [command, str(path)])
+    assert error == {"error": "ValueError", "message": "vertex out of range in '1 9'"}
+
+
+def test_malformed_timegraph_file_exits_with_input_error(capsys, tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_text("3\nseven\n")
+    error = _input_error(capsys, ["oracle", "--timegraph", str(path)])
+    assert error["error"] == "ValueError"
+
+
+def test_missing_input_file_exits_with_input_error(capsys, tmp_path):
+    error = _input_error(capsys, ["solve", str(tmp_path / "missing.txt")])
+    assert error["error"] == "FileNotFoundError"
+
+
+def test_order_beyond_the_cap_exits_with_input_error(capsys, graph_file):
+    error = _input_error(capsys, ["solve", graph_file(path_graph(5)), "--cap", "4"])
+    assert error == {"error": "OracleScaleError", "message": "basis scale exceeded: n=5 > cap=4"}
+    error = _input_error(capsys, ["crossval", "--n", "9"])
+    assert error["error"] == "OracleScaleError"
+
+
+def test_internal_inconsistency_is_not_an_input_error(monkeypatch, graph_file):
+    def broken(*args, **kwargs):
+        raise hamtg.InternalInconsistencyError("witness has even parity")
+
+    monkeypatch.setattr(hamtg.solver, "decide_hamiltonian_path", broken)
+    with pytest.raises(hamtg.InternalInconsistencyError):
+        main(["solve", graph_file(path_graph(3))])

@@ -232,6 +232,33 @@ def test_crossval_random_is_deterministic():
     assert a == b
 
 
+def _count_pair_indicators(monkeypatch) -> list:
+    calls = []
+
+    def counted(p):
+        calls.append(p)
+        return pair_indicator(p)
+
+    monkeypatch.setattr(lab, "pair_indicator", counted)
+    return calls
+
+
+def test_crossval_builds_no_pair_indicators_without_a_false_positive(monkeypatch):
+    expected = crossval(4)
+    calls = _count_pair_indicators(monkeypatch)
+    assert crossval(4) == expected
+    assert calls == []
+
+
+def test_crossval_builds_pair_indicators_once_for_all_false_positives(monkeypatch):
+    # an oracle that always says no turns every yes into a false positive
+    calls = _count_pair_indicators(monkeypatch)
+    monkeypatch.setattr(lab, "hamiltonian_path_oracle", lambda g: False)
+    result = crossval(4)
+    assert result["false_positive_count"] > 1
+    assert calls == list(build_basis(4))
+
+
 def test_crossval_requires_count_for_random():
     with pytest.raises(ValueError):
         crossval(4, exhaustive=False)

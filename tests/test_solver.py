@@ -237,10 +237,12 @@ def test_columns_follow_the_basis_order():
 
 def test_partners_are_each_blocks_rank_profile():
     # the table, read off the incident masks, is the rank profile of each
-    # edge's block of pair rows cols[e] & cols[e'] in ascending e'
+    # edge's block of pair rows cols[e] & cols[e'] in ascending e', and
+    # live marks exactly the edges with a nonzero column
     for n in (3, 4, 5):
         for perms in (build_basis(n), build_basis(n)[::-1]):
-            cols, partners, _ = solver._basis_tables(n, tuple(perms))
+            cols, partners, _, live = solver._basis_tables(n, tuple(perms))
+            assert live == sum(1 << e for e, ce in enumerate(cols) if ce)
             assert list(cols) == [
                 sum(1 << i for i, p in enumerate(perms) if is_incident(edge_from_index(e, n), p))
                 for e in range(edge_space_size(n))
@@ -268,8 +270,8 @@ def test_corrupted_partner_table_never_gives_an_unchecked_yes(monkeypatch):
     real = solver._basis_tables
 
     def truncated(n, basis_perms):
-        cols, partners, masks = real(n, basis_perms)
-        return cols, tuple(block[:1] for block in partners), masks
+        cols, partners, masks, live = real(n, basis_perms)
+        return cols, tuple(block[:1] for block in partners), masks, live
 
     monkeypatch.setattr(solver, "_basis_tables", truncated)
     caught = []
@@ -282,3 +284,20 @@ def test_corrupted_partner_table_never_gives_an_unchecked_yes(monkeypatch):
         assert decision.answer == expected.answer
     # the search finds a no-instance the truncated rows would have passed
     assert any(not hamiltonian_path_oracle(g) for g in caught)
+
+
+def test_a_yes_decision_looks_up_the_basis_tables_once(monkeypatch):
+    # the witness check reads the tables the system was assembled from
+    perms = build_basis(5)
+    T = reduce_hamp(path_graph(5))
+    real = solver._tables
+    calls = []
+
+    def counted(n, basis_perms):
+        calls.append(n)
+        return real(n, basis_perms)
+
+    monkeypatch.setattr(solver, "_tables", counted)
+    decision = decide_time_graph(T, perms)
+    assert decision.answer
+    assert calls == [5]

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -20,7 +21,7 @@ from hamtg.timegraph import (
     reduce_hamp,
 )
 
-from helpers import cycle_graph, path_graph, petersen, star_graph
+from helpers import cycle_graph, path_graph, petersen, reduce_hamp_reference, star_graph
 
 
 # ---------------------------------------------------------------------------
@@ -119,6 +120,20 @@ def test_reduce_path_graph_edges():
 )
 def test_reduce_edge_count(g):
     assert reduce_hamp(g).edge_count() == 2 * len(g.pairs) * (g.n - 1)
+
+
+def test_reduce_matches_per_edge_reference_on_every_small_graph():
+    for n in range(1, 6):
+        pairs = list(itertools.combinations(range(1, n + 1), 2))
+        for mask in range(1 << len(pairs)):
+            g = Graph.from_edges(n, (pairs[k] for k in range(len(pairs)) if mask >> k & 1))
+            assert reduce_hamp(g) == reduce_hamp_reference(g)
+
+
+def test_reduce_beyond_the_oracle_cap():
+    # the pair masks are built for any order, not just the oracle-sized ones
+    g = cycle_graph(12)
+    assert reduce_hamp(g) == reduce_hamp_reference(g)
 
 
 def test_hamiltonian_path_oracle_examples():
