@@ -62,12 +62,16 @@ def supported_coefficient_space(
     """Coefficient masks spanning {alpha : the combination is supported in G}.
 
     These are the homogeneous solutions of the assembled system (the value
-    row dropped); the homogeneous system is always consistent.
+    row dropped), lifted from the roots to every variable; the homogeneous
+    system is always consistent.  A contracted variable is in no row, so
+    its own vector is exactly its bit and is dropped: the contraction
+    already fixes it.
     """
     system = assemble_system(G, basis_perms)
-    hom = system.rows[1:]
+    hom = system.rows[:-1]
     res = solve_system(hom, (0,) * len(hom), system.nvars)
-    return list(res.nullspace)
+    contracted = system.contracted
+    return [system.lift(v) for v in res.nullspace if not v & contracted]
 
 
 def _combine(

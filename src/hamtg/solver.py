@@ -31,21 +31,38 @@ from .timegraph import (
 
 @dataclass(frozen=True)
 class LinearSystem:
-    """The feasibility system of one time-graph over one basis, pruned.
+    """The feasibility system of one time-graph over one basis, contracted.
 
-    The dropped rows are each in the span of kept rows before them, so the
-    pruned system has the full one's solutions, rank and echelon.
+    Every pair row with one or two basis permutations says alpha_a = 0 or
+    alpha_a = alpha_b; those rows are folded into components of variables
+    (the structured-elimination step of sparse GF(2) solvers), each standing
+    for its largest member, its root, or for the constant zero.  The rows
+    left are the wider pair rows rewritten onto roots, then the value row,
+    so a solution over the roots lifts to one of the full system: with the
+    contracted variables as pivots, the full system has the same solutions,
+    the same particular solution and the same nullspace.
     """
 
     n: int
     nvars: int
-    # coefficient masks over the basis: rows[0] is the value row (all ones,
-    # rhs 1), every later row a pair row with rhs 0; zero rows, duplicate
-    # rows and rows dependent within their missing edge's block are dropped
+    # coefficient masks over the basis: the wide pair rows with rhs 0 (each
+    # on roots only; zero rows and duplicates dropped), then the value row,
+    # rhs 1, with a one on every root of an odd-sized component
     rows: tuple[int, ...]
     raw_rows: int  # constraints of the full system before pruning
+    contracted: int  # mask of the variables that are not roots
+    # root -> mask of its component, for the roots with other members
+    _members: dict[int, int] = field(repr=False, compare=False)
     # the basis tables the rows were read from, for the witness check
-    _tables: Optional[_BasisTables] = field(default=None, repr=False, compare=False)
+    _tables: _BasisTables = field(repr=False, compare=False)
+
+    def lift(self, x: int) -> int:
+        """A solution over the roots as one over every variable: each set
+        root sets its whole component."""
+        members = self._members
+        for r in bit_indices(x):
+            x |= members.get(r, 0)
+        return x
 
 
 @dataclass(frozen=True)
@@ -53,9 +70,9 @@ class Decision:
     answer: bool
     witness: Optional[tuple[int, ...]]  # basis indices with coefficient 1
     nvars: int
-    rows: int  # rows of the pruned system, as LinearSystem.rows
+    rows: int  # rows of the contracted system, as LinearSystem.rows
     raw_rows: int
-    rank: int
+    rank: int  # coefficient rank of the full system
 
 
 def incidence_columns(n: int, basis_perms: Sequence[Permutation]) -> list[int]:
@@ -75,12 +92,17 @@ def incidence_columns(n: int, basis_perms: Sequence[Permutation]) -> list[int]:
 # What every decision over one basis shares, built once per basis (a plain
 # tuple: a dataclass here would cost a millisecond of import time):
 # - cols, the incidence_columns;
-# - partners, per edge e ascending, the e' whose row cols[e] & cols[e']
-#   extends the span of e's rows for lower e' (the block's rank profile);
 # - masks, per basis permutation, its incident edge mask;
 # - live, the mask of the edges with a nonzero column (no self-loop is
-#   ever live), the only edges whose rows or witness checks can be nonzero.
-_BasisTables = tuple[tuple[int, ...], tuple[tuple[int, ...], ...], tuple[int, ...], int]
+#   ever live), the only edges whose rows or witness checks can be nonzero;
+# - blocks, per edge, its kept pair rows as _block gives them, filled on
+#   the edge's first use, so a decision pays only for its missing edges.
+_Block = tuple[
+    tuple[tuple[int, int], ...],
+    tuple[tuple[int, int, int], ...],
+    tuple[tuple[int, tuple[int, ...]], ...],
+]
+_BasisTables = tuple[tuple[int, ...], tuple[int, ...], int, list[Optional[_Block]]]
 
 
 @lru_cache(maxsize=4)
@@ -90,14 +112,42 @@ def _basis_tables(n: int, basis_perms: tuple[Permutation, ...]) -> _BasisTables:
     live = 0
     for m in masks:
         live |= m
-    # in e's block (row e' is cols[e] & cols[e']) the column of a basis
-    # permutation through e is its incident mask and every other column is
-    # zero, so the block's rank profile needs only those few masks
-    partners = tuple(
-        tuple(column_rank_profile([masks[i] for i in bit_indices(ce)], len(cols)))
-        for ce in cols
-    )
-    return tuple(cols), partners, masks, live
+    return tuple(cols), masks, live, [None] * len(cols)
+
+
+def _block(tables: _BasisTables, e: int) -> _Block:
+    """The kept rows cols[e] & cols[f] of edge e's block, as (units, links, wide).
+
+    Kept are the rows for the f whose row extends the span of e's rows for
+    lower f (the block's rank profile), ascending in f and split by size: a
+    unit (f, a) is the row of permutation a alone, a link (f, a, b) with
+    a < b the row of a and b, and a wide row (f, (a, b, c, ...)) has three
+    or more permutations, ascending.  Built on e's first use and kept in
+    the tables.
+    """
+    cols, masks, _, blocks = tables
+    block = blocks[e]
+    if block is None:
+        ps = bit_indices(cols[e])
+        # row f of the block lists the permutations through e and f
+        shared: dict[int, list[int]] = {}
+        for i in ps:
+            for f in bit_indices(masks[i]):
+                shared.setdefault(f, []).append(i)
+        u, k, w = [], [], []
+        # in e's block the column of a basis permutation through e is its
+        # incident mask and every other column is zero, so the block's rank
+        # profile needs only those few masks
+        for f in column_rank_profile([masks[i] for i in ps], len(cols)):
+            vs = shared[f]
+            if len(vs) == 1:
+                u.append((f, *vs))
+            elif len(vs) == 2:
+                k.append((f, *vs))
+            else:
+                w.append((f, tuple(vs)))
+        blocks[e] = block = (tuple(u), tuple(k), tuple(w))
+    return block
 
 
 def _tables(n: int, basis_perms: Sequence[Permutation]) -> _BasisTables:
@@ -107,31 +157,78 @@ def _tables(n: int, basis_perms: Sequence[Permutation]) -> _BasisTables:
 
 def assemble_system(G: TimeGraph, basis_perms: Sequence[Permutation]) -> LinearSystem:
     """One parity-1 value row plus, for every missing edge e and every edge
-    e', the constraint that the combination vanishes at (e, e').
+    e', the constraint that the combination vanishes at (e, e'), contracted.
 
     The pair constraint coefficient for basis element i is 1 exactly when
     both e and e' are incident on permutation i, so each row is the AND of
     two incidence columns.  Only e's partners are visited: a row outside
-    them is the sum of e's rows for lower e', which come earlier, so it
-    reduces to zero with rhs 0 and never changes the echelon, the rank or
-    where an inconsistency shows.  A missing partner e' < e is skipped too,
-    its row was made at (e', e).  Duplicate rows are emitted once, in
-    first-seen order; every kept row is nonzero.
+    them is the sum of e's rows for lower e', so it never changes the
+    solutions or the rank.  A missing partner e' < e is skipped too, its
+    row was made at (e', e).  A union-find over the unit and link rows
+    joins their permutations into components, a constant-zero node nvars
+    absorbing the units, and each wider row that meets a contracted
+    variable is rewritten onto the roots, so no row with one or two
+    permutations is ever built.  Zero and duplicate rows are dropped; the
+    value row comes last.
     """
     tables = _tables(G.n, basis_perms)
-    cols, partners, masks, live = tables
+    cols, masks, live, blocks = tables
     edges = G.edges
-    # pair rows once each, in first-seen order (a dict keeps insertion
-    # order); a missing edge outside live has no partners
-    pairs = dict.fromkeys(
-        cols[e] & cols[f]
-        for e in bit_indices(live & ~edges)
-        for f in partners[e]
-        if f >= e or edges >> f & 1
-    )
     nvars = len(masks)
+    # a missing edge outside live has no partners
+    missing = bit_indices(live & ~edges)
+    rows_of = [blocks[e] or _block(tables, e) for e in missing]
+    # union-find with path halving; parent[v] >= v throughout, so a root is
+    # its component's largest member and the zero node roots its component
+    parent = list(range(nvars + 1))
+    for e, (units, links, _) in zip(missing, rows_of):
+        for f, a in units:
+            if f >= e or edges >> f & 1:
+                while (p := parent[a]) != a:
+                    parent[a] = a = parent[p]
+                parent[a] = nvars
+        for f, a, b in links:
+            if f >= e or edges >> f & 1:
+                while (p := parent[a]) != a:
+                    parent[a] = a = parent[p]
+                while (p := parent[b]) != b:
+                    parent[b] = b = parent[p]
+                if a < b:
+                    parent[a] = b
+                elif b < a:
+                    parent[b] = a
+    contracted = 0
+    # the all-ones value row moved onto roots: each member flips its root
+    value = (1 << nvars) - 1
+    members: dict[int, int] = {}
+    # per contracted v, the xor that moves its bit onto its root's, or
+    # clears it in the zero component
+    moves: dict[int, int] = {}
+    # highest first, so each parent is flattened to its root before v
+    for v in range(nvars - 1, -1, -1):
+        r = parent[parent[v]]
+        if r != v:
+            parent[v] = r
+            bit = 1 << v
+            contracted |= bit
+            if r < nvars:
+                members[r] = members.get(r, 1 << r) | bit
+                bit |= 1 << r
+            moves[v] = bit
+            value ^= bit
+    kept = {}
+    for e, (_, _, wide) in zip(missing, rows_of):
+        ce = cols[e]
+        for f, vs in wide:
+            if f >= e or edges >> f & 1:
+                row = ce & cols[f]
+                if row & contracted:
+                    for v in vs:
+                        row ^= moves.get(v, 0)
+                kept[row] = None
+    kept.pop(0, None)
     raw = 1 + (len(cols) - edges.bit_count()) * len(cols)
-    return LinearSystem(G.n, nvars, ((1 << nvars) - 1, *pairs), raw, tables)
+    return LinearSystem(G.n, nvars, (*kept, value), raw, contracted, members, tables)
 
 
 def decide_time_graph(
@@ -139,22 +236,26 @@ def decide_time_graph(
 ) -> Decision:
     """Decide feasibility of the assembled system for a time-graph.
 
-    A "yes" is checked against G itself, not against the pruned rows: the
-    witness must have odd size, and for every missing edge e the incident
-    masks of the witness permutations through e must xor to zero, which is
-    every (e, e') constraint at once.
+    The contracted system is solved and its solution lifted to every
+    variable.  A "yes" is checked against G itself, not against the rows:
+    the witness must have odd size, and for every missing edge e the
+    incident masks of the witness permutations through e must xor to zero,
+    which is every (e, e') constraint at once.
     """
     # through the public assemble_system, which tracers hook
     system = assemble_system(G, basis_perms)
     rows = system.rows
-    res = solve_system(rows, (1,) + (0,) * (len(rows) - 1), system.nvars)
-    x = res.x
-    if x is None:
-        return Decision(False, None, system.nvars, len(rows), system.raw_rows, res.rank)
+    res = solve_system(rows, (0,) * (len(rows) - 1) + (1,), system.nvars)
+    # the contracted variables are pivots of the full system beside the
+    # contracted system's own
+    rank = res.rank + system.contracted.bit_count()
+    if res.x is None:
+        return Decision(False, None, system.nvars, len(rows), system.raw_rows, rank)
+    x = system.lift(res.x)
     if x.bit_count() & 1 != 1:
         raise InternalInconsistencyError("witness has even parity")
     # a missing edge outside live meets no basis permutation
-    cols, _, masks, live = system._tables
+    cols, masks, live, _ = system._tables
     for e in bit_indices(live & ~G.edges):
         acc = 0
         for i in bit_indices(x & cols[e]):
@@ -169,7 +270,7 @@ def decide_time_graph(
         system.nvars,
         len(rows),
         system.raw_rows,
-        res.rank,
+        rank,
     )
 
 

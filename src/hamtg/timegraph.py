@@ -281,6 +281,24 @@ def _pair_masks(n: int) -> dict[tuple[int, int], int]:
     return masks
 
 
+def _extend_path(adj: dict[int, set[int]], n: int, v: int, visited: set[int]) -> bool:
+    """Whether the path ending at v through visited extends to all n vertices.
+
+    A module-level function, not a closure: a recursive closure refers to
+    itself through its own cell, so every search would leave a reference
+    cycle for the cyclic garbage collector.
+    """
+    if len(visited) == n:
+        return True
+    for w in sorted(adj[v]):
+        if w not in visited:
+            visited.add(w)
+            if _extend_path(adj, n, w, visited):
+                return True
+            visited.remove(w)
+    return False
+
+
 def hamiltonian_path_oracle(g: Graph, cap: int | None = None) -> bool:
     """Backtracking search for a Hamiltonian path."""
     limit = ORACLE_PATH_CAP if cap is None else cap
@@ -290,16 +308,4 @@ def hamiltonian_path_oracle(g: Graph, cap: int | None = None) -> bool:
     if n == 1:
         return True
     adj = g.adjacency()
-
-    def extend(v: int, visited: set[int]) -> bool:
-        if len(visited) == n:
-            return True
-        for w in sorted(adj[v]):
-            if w not in visited:
-                visited.add(w)
-                if extend(w, visited):
-                    return True
-                visited.remove(w)
-        return False
-
-    return any(extend(start, {start}) for start in range(1, n + 1))
+    return any(_extend_path(adj, n, start, {start}) for start in range(1, n + 1))

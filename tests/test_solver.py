@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hamtg import solver
+from hamtg import lab, solver
 from hamtg.canonical import InternalInconsistencyError
-from hamtg.gf2 import Gf2Basis, rank_profile, solve_system
+from hamtg.gf2 import Gf2Basis, bit_indices, rank_profile, solve_system
 from hamtg.liftbasis import build_basis
 from hamtg.permvec import pair_indicator, value_pair, is_supported_in
 from hamtg.solver import (
@@ -16,9 +16,11 @@ from hamtg.solver import (
     decide_time_graph,
 )
 from hamtg.timegraph import (
+    Edge,
     Graph,
     TimeGraph,
     edge_from_index,
+    edge_index,
     edge_space_size,
     hamiltonian_path_oracle,
     is_incident,
@@ -161,36 +163,84 @@ def time_graphs(draw):
     return reduce_hamp(Graph.from_edges(n, chosen))
 
 
-def _solutions(rows, nvars):
-    """solve_system on the augmented rows and on the homogeneous ones."""
-    zeros = (0,) * (len(rows) - 1)
-    out = []
-    for system, rhs in ((rows, (1, *zeros)), (rows[1:], zeros)):
-        res = solve_system(system, rhs, nvars)
-        out.append((res.consistent, res.x, res.rank, res.nullspace))
-    return out
+def _moved(T, move):
+    """T with every edge (i, j, t) sent to the edge move(i, j, t)."""
+    bits = 0
+    for e in range(edge_space_size(T.n)):
+        if T.has_index(e):
+            bits |= 1 << edge_index(Edge(*move(*edge_from_index(e, T.n))), T.n)
+    return TimeGraph(T.n, bits)
+
+
+# Metamorphic checks of the decider: they compare answers only, so they
+# guard the assembly without sharing any code with elimination.
+
+
+@settings(max_examples=40, deadline=None)
+@given(time_graphs(), st.data())
+def test_answer_is_monotone_in_the_edge_set(T, data):
+    # every constraint of a larger time-graph is one of T's
+    size = edge_space_size(T.n)
+    extra = data.draw(st.lists(st.integers(0, size - 1), max_size=4))
+    bigger = TimeGraph(T.n, T.edges | sum(1 << e for e in set(extra)))
+    perms = build_basis(T.n)
+    if decide_time_graph(T, perms).answer:
+        assert decide_time_graph(bigger, perms).answer
+
+
+@settings(max_examples=40, deadline=None)
+@given(time_graphs(), st.data())
+def test_answer_is_invariant_under_vertex_relabelling(T, data):
+    sigma = data.draw(st.permutations(range(1, T.n + 1)))
+    relabelled = _moved(T, lambda i, j, t: (sigma[i - 1], sigma[j - 1], t))
+    perms = build_basis(T.n)
+    assert decide_time_graph(relabelled, perms).answer == decide_time_graph(T, perms).answer
+
+
+@settings(max_examples=40, deadline=None)
+@given(time_graphs())
+def test_answer_is_invariant_under_time_reversal(T):
+    # a permutation read backwards uses edge (j, i, n - t) for each (i, j, t)
+    reversed_T = _moved(T, lambda i, j, t: (j, i, T.n - t))
+    perms = build_basis(T.n)
+    assert decide_time_graph(reversed_T, perms).answer == decide_time_graph(T, perms).answer
 
 
 def _check_against_reference(T, perms):
-    """The kept rows against the full loop's rows.
+    """The contracted system against the full loop's rows, by solution.
 
-    Kept rows are reference rows; every reference pair row that extends
-    the span of the reference rows before it is kept, in the same relative
-    order; and both systems solve alike, augmented and homogeneous.  (A
-    kept dependent row may come later than its first reference occurrence,
-    whose own block dropped it.)
+    Both are consistent or inconsistent alike, the lifted particular
+    solution is the full system's, the supported coefficient space is the
+    full homogeneous nullspace with its vectors in the same order, and the
+    decision's rank is the full coefficient rank, for either answer.  The
+    contracted rows meet roots only, and the value row counts each
+    component once per member.
     """
+    nvars = len(perms)
     system = assemble_system(T, perms)
     ref = assemble_rows_reference(T, perms)
-    kept = list(system.rows)
-    assert kept[0] == ref[0]
-    assert set(kept) <= set(ref)
-    echelon = Gf2Basis(len(perms))
-    extending = [r for r in ref[1:] if echelon.insert_raw(r).extended]
-    place = {r: k for k, r in enumerate(kept)}
-    assert all(r in place for r in extending)
-    assert [place[r] for r in extending] == sorted(place[r] for r in extending)
-    assert _solutions(kept, len(perms)) == _solutions(ref, len(perms))
+    zeros = (0,) * (len(ref) - 1)
+    full = solve_system(ref, (1, *zeros), nvars)
+    rows = system.rows
+    small = solve_system(rows, (0,) * (len(rows) - 1) + (1,), nvars)
+    assert small.consistent == full.consistent
+    assert all(not r & system.contracted for r in rows)
+    # the value row has a one on each root whose component, as the lift of
+    # the root alone, has odd size
+    roots = [r for r in range(nvars) if not system.contracted >> r & 1]
+    assert rows[-1] == sum(1 << r for r in roots if system.lift(1 << r).bit_count() & 1)
+    decision = decide_time_graph(T, perms)
+    assert decision.answer == full.consistent
+    if full.consistent:
+        assert system.lift(small.x) == full.x
+        assert decision.witness == tuple(bit_indices(full.x))
+    echelon = Gf2Basis(nvars)
+    for r in ref:
+        echelon.insert_raw(r)
+    assert decision.rank == echelon.rank
+    assert decision.rows == len(rows)
+    homogeneous = solve_system(ref[1:], zeros, nvars)
+    assert lab.supported_coefficient_space(T, perms) == list(homogeneous.nullspace)
     assert system.raw_rows == 1 + len(T.complement_indices()) * edge_space_size(T.n)
     return system
 
@@ -198,8 +248,7 @@ def _check_against_reference(T, perms):
 @settings(max_examples=60, deadline=None)
 @given(time_graphs())
 def test_assembly_matches_full_loop_reference(T):
-    # the pruned pair visits keep the full loop's independent rows, in
-    # order, and solve exactly as the full loop's rows do
+    # the contracted system solves exactly as the full loop's rows do
     _check_against_reference(T, build_basis(T.n))
 
 
@@ -211,12 +260,28 @@ def test_assembly_matches_reference_on_reversed_and_list_bases(T):
     _check_against_reference(T, [list(p) for p in perms])
 
 
+def test_assembly_matches_full_loop_reference_at_order_6():
+    # below order 6 the pair indicators are independent and every set root
+    # of a solution stands alone, so only here do the lifts add members
+    perms = build_basis(6)
+    lifted = 0
+    for g in lab._random_graphs(6, 12, 1):
+        system = _check_against_reference(reduce_hamp(g), perms)
+        hom = system.rows[:-1]
+        for v in solve_system(hom, (0,) * len(hom), len(perms)).nullspace:
+            lifted += system.lift(v) != v
+    assert lifted
+
+
 def test_pruned_rows_drop_dependent_rows():
-    # the star on 5 vertices keeps 157 of the full loop's 313 rows
+    # the star on 5 vertices: the full loop's 313 rows become 116
+    # contracted variables and 5 rows (4 wide pair rows and the value row)
     perms = build_basis(5)
     T = reduce_hamp(star_graph(4))
     system = _check_against_reference(T, perms)
-    assert len(system.rows) < 0.55 * len(assemble_rows_reference(T, perms))
+    assert len(assemble_rows_reference(T, perms)) == 313
+    assert system.contracted.bit_count() == 116
+    assert len(system.rows) == 5
 
 
 def test_columns_follow_the_basis_order():
@@ -236,21 +301,36 @@ def test_columns_follow_the_basis_order():
 
 
 def test_partners_are_each_blocks_rank_profile():
-    # the table, read off the incident masks, is the rank profile of each
-    # edge's block of pair rows cols[e] & cols[e'] in ascending e', and
-    # live marks exactly the edges with a nonzero column
+    # the units, links and wide rows of an edge e, read off the incident
+    # masks, are together the rank profile of e's block of pair rows
+    # cols[e] & cols[f] in ascending f, each kind ascending and split by
+    # its number of permutations; live marks exactly the edges with a
+    # nonzero column
     for n in (3, 4, 5):
         for perms in (build_basis(n), build_basis(n)[::-1]):
-            cols, partners, _, live = solver._basis_tables(n, tuple(perms))
+            tables = solver._basis_tables(n, tuple(perms))
+            cols, _, live, _ = tables
             assert live == sum(1 << e for e, ce in enumerate(cols) if ce)
             assert list(cols) == [
                 sum(1 << i for i, p in enumerate(perms) if is_incident(edge_from_index(e, n), p))
                 for e in range(edge_space_size(n))
             ]
-            assert partners == tuple(
-                tuple(rank_profile([ce & c for c in cols], len(perms))[0])
-                for ce in cols
-            )
+            for e, ce in enumerate(cols):
+                units, links, wide = solver._block(tables, e)
+                kinds = (
+                    [(f, (a,)) for f, a in units],
+                    [(f, (a, b)) for f, a, b in links],
+                    list(wide),
+                )
+                for kind in kinds:
+                    assert [f for f, _ in kind] == sorted(f for f, _ in kind)
+                assert all(a < b for _, (a, b) in kinds[1])
+                assert all(len(vs) >= 3 and list(vs) == sorted(vs) for _, vs in kinds[2])
+                rows = {f: sum(1 << v for v in vs) for kind in kinds for f, vs in kind}
+                assert len(rows) == sum(map(len, kinds))
+                assert all(rows[f] == ce & cols[f] for f in rows)
+                assert sorted(rows) == rank_profile([ce & c for c in cols], len(perms))[0]
+                assert solver._block(tables, e) is tables[-1][e]
 
 
 def test_list_basis_decides_like_tuple_basis():
@@ -262,16 +342,20 @@ def test_list_basis_decides_like_tuple_basis():
 
 
 def test_corrupted_partner_table_never_gives_an_unchecked_yes(monkeypatch):
-    # with every partner block cut to its first partner the system loses
-    # constraints; the witness check reads G, not the rows, so a wrong yes
-    # must surface as an InternalInconsistencyError
+    # with every edge's units, links and wide rows each cut to their first
+    # the system loses constraints; the witness check reads G, not the
+    # rows, so a wrong yes must surface as an InternalInconsistencyError
     perms = build_basis(4)
     honest = {g: decide_time_graph(reduce_hamp(g), perms) for g in all_graphs(4)}
     real = solver._basis_tables
 
     def truncated(n, basis_perms):
-        cols, partners, masks, live = real(n, basis_perms)
-        return cols, tuple(block[:1] for block in partners), masks, live
+        tables = real(n, basis_perms)
+        blocks = [
+            tuple(kind[:1] for kind in solver._block(tables, e))
+            for e in range(len(tables[0]))
+        ]
+        return (*tables[:-1], blocks)
 
     monkeypatch.setattr(solver, "_basis_tables", truncated)
     caught = []

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import math
 
@@ -142,6 +143,18 @@ def test_hamiltonian_path_oracle_examples():
     assert not hamiltonian_path_oracle(star_graph(3))
     assert hamiltonian_path_oracle(petersen())
     assert is_hamiltonian_oracle(reduce_hamp(cycle_graph(5)))
+
+
+def test_hamiltonian_path_oracle_leaves_no_reference_cycle():
+    # the backtracking search must not be a closure that refers to itself
+    g = cycle_graph(5)
+    gc.collect()
+    gc.disable()
+    try:
+        assert hamiltonian_path_oracle(g)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def _all_graphs(n):
