@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 from .gf2 import Gf2Basis, rank_profile
-from .permvec import EdgeVector, PairVector, diagonal, pair_indicator
+from .permvec import EdgeVector, PairVector, diagonal, pair_indicator, pair_sum
 from .timegraph import (
     Permutation,
     TimeGraph,
@@ -180,15 +180,16 @@ def decompose(g: PairVector, cb: CanonicalBasis) -> Decomposition:
             "diagonal image escapes the canonical span"
         )
     elements = cb.elements
-    raw_gc = g.bits
+    masks = []
     sums = [0] * len(cb.layers)
     alpha = []
     for kidx in combo:
         el = elements[kidx]
         alpha.append((el.layer, el.slot))
-        raw_gc ^= pair_indicator(el.perm).bits
-        sums[el.layer] ^= incident_mask(el.perm)
-    gc = PairVector(g.n, raw_gc)
+        mask = incident_mask(el.perm)
+        masks.append(mask)
+        sums[el.layer] ^= mask
+    gc = g ^ pair_sum(g.n, masks)
     if not diagonal(gc).is_zero():
         raise InternalInconsistencyError("residual is not a closed cycle")
     layer_sums = tuple(EdgeVector(g.n, s) for s in sums)

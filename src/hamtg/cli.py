@@ -207,9 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("crossval", help="oracle vs. decision procedure over graph families")
     p.add_argument("--n", type=int, required=True)
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--exhaustive", action="store_true", default=True)
-    group.add_argument("--random", type=int, default=None, metavar="COUNT")
+    p.add_argument("--random", type=int, metavar="COUNT", help="sample COUNT random graphs")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--cache-dir", default=None)
     p.add_argument("--out")

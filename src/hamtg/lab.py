@@ -37,6 +37,7 @@ from .permvec import (
     edge_indicator,
     is_supported_in,
     pair_indicator,
+    pair_sum,
     value_pair,
 )
 from .solver import assemble_system, decide_time_graph
@@ -74,16 +75,6 @@ def supported_coefficient_space(
     return [system.lift(v) for v in res.nullspace if not v & contracted]
 
 
-def _combine(
-    n: int, pair_cache: Sequence[PairVector], indices: Iterable[int]
-) -> PairVector:
-    """Xor of the pair_cache entries at the given indices."""
-    raw = 0
-    for k in indices:
-        raw ^= pair_cache[k].bits
-    return PairVector(n, raw)
-
-
 def _image_span(
     n: int, coeff_space: Iterable[int], incident_masks: Sequence[int]
 ) -> Gf2Basis:
@@ -103,16 +94,13 @@ def _image_span(
 
 
 def supported_subspace(
-    G: TimeGraph,
-    basis_perms: Sequence[Permutation],
-    pair_cache: Optional[Sequence[PairVector]] = None,
+    G: TimeGraph, basis_perms: Sequence[Permutation]
 ) -> list[PairVector]:
     """Basis of the pair-span elements supported in G."""
-    if pair_cache is None:
-        pair_cache = [pair_indicator(p) for p in basis_perms]
+    masks = [incident_mask(p) for p in basis_perms]
     return [
-        _combine(G.n, pair_cache, bit_indices(mask))
-        for mask in supported_coefficient_space(G, basis_perms)
+        pair_sum(G.n, [masks[k] for k in bit_indices(coeffs)])
+        for coeffs in supported_coefficient_space(G, basis_perms)
     ]
 
 
@@ -298,21 +286,20 @@ def sample_incident_combination(
     G: TimeGraph, rng: random.Random
 ) -> PairVector:
     """Random xor of pair indicators of permutations incident on G."""
-    g = PairVector.zero(G.n)
-    for p in incident_permutations(G):
-        if rng.randrange(2):
-            g = g ^ pair_indicator(p)
-    return g
+    return pair_sum(
+        G.n, [incident_mask(p) for p in incident_permutations(G) if rng.randrange(2)]
+    )
 
 
 def sample_supported_element(
     G: TimeGraph,
     rng: random.Random,
     coeff_space: Sequence[int],
-    pair_cache: Sequence[PairVector],
+    incident_masks: Sequence[int],
 ) -> PairVector:
     """Random element of the supported subspace, via its coefficient basis.
 
+    incident_masks holds each basis permutation's incident edge mask.
     Reaches supported elements outside the span of the incident-permutation
     indicators, which is where conjecture failures would hide.
     """
@@ -320,7 +307,7 @@ def sample_supported_element(
     for vec in coeff_space:
         if rng.randrange(2):
             mask ^= vec
-    return _combine(G.n, pair_cache, bit_indices(mask))
+    return pair_sum(G.n, [incident_masks[k] for k in bit_indices(mask)])
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +332,6 @@ def run_campaign(
     derived from the seed, so a rerun is byte-identical (timing excluded).
     """
     basis_perms = build_basis(n, cache_dir=cache_dir)
-    pair_cache = [pair_indicator(p) for p in basis_perms]
     incident_masks = [incident_mask(p) for p in basis_perms]
     reports: list[ConjectureReport] = []
     counts = {"holds": 0, "violated": 0, "vacuous": 0}
@@ -370,7 +356,7 @@ def run_campaign(
         if generator == "incident-xor":
             g = sample_incident_combination(G, g_rng)
         else:
-            g = sample_supported_element(G, g_rng, subspace()[0], pair_cache)
+            g = sample_supported_element(G, g_rng, subspace()[0], incident_masks)
         # every report of this trial shares one witness string; the hex of
         # an order-6 pair vector is 8,100 characters
         g_hex = format(g.bits, "x")
@@ -438,22 +424,16 @@ def run_campaign(
 # cross-validation against the oracles
 
 def audit_false_positive(
-    g: Graph,
-    witness: Sequence[int],
-    basis_perms: Sequence[Permutation],
-    pair_cache: Optional[Sequence[PairVector]] = None,
+    T: TimeGraph, witness: Sequence[int], basis_perms: Sequence[Permutation]
 ) -> dict:
-    """Forensics for a yes-decision on an oracle-no graph.
+    """Forensics for a yes-decision on an oracle-no time-graph.
 
-    The witness combination is supported in the reduction and has value 1,
-    so the conjecture checks on it cannot both hold; at least one violated
+    The witness combination is supported in T and has value 1, so the
+    conjecture checks on it cannot both hold; at least one violated
     verdict is required, otherwise something proven has failed and the
     implementation is broken.
     """
-    if pair_cache is None:
-        pair_cache = [pair_indicator(p) for p in basis_perms]
-    T = reduce_hamp(g)
-    gw = _combine(g.n, pair_cache, witness)
+    gw = pair_sum(T.n, [incident_mask(basis_perms[k]) for k in witness])
     if not is_supported_in(gw, T) or value_pair(gw) != 1:
         raise InternalInconsistencyError("decision witness is not a valid combination")
     cb = build_canonical_basis(T)
@@ -498,7 +478,6 @@ def crossval(
     plus the per-instance implication audit.
     """
     basis_perms = build_basis(n, cache_dir=cache_dir)
-    pair_cache: Optional[list[PairVector]] = None  # built at the first false positive
     if exhaustive:
         graphs: Iterable[Graph] = _all_graphs(n)
         source = {"kind": "exhaustive"}
@@ -514,15 +493,14 @@ def crossval(
     for g in graphs:
         total += 1
         oracle = hamiltonian_path_oracle(g)
-        decision = decide_time_graph(reduce_hamp(g), basis_perms)
+        T = reduce_hamp(g)
+        decision = decide_time_graph(T, basis_perms)
         if decision.answer and oracle:
             agree_yes += 1
         elif not decision.answer and not oracle:
             agree_no += 1
         elif decision.answer and not oracle:
-            if pair_cache is None:
-                pair_cache = [pair_indicator(p) for p in basis_perms]
-            audit = audit_false_positive(g, decision.witness or (), basis_perms, pair_cache)
+            audit = audit_false_positive(T, decision.witness or (), basis_perms)
             false_positives.append(
                 {"graph_pairs": sorted(g.pairs), "audit": audit}
             )

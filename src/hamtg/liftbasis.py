@@ -66,36 +66,10 @@ def lift_perm(lift: Lift, p: Permutation) -> Permutation:
     return (lift.anchor,) + tuple(lift.apply(x) for x in p)
 
 
-def unlift_perm(lift: Lift, p: Permutation) -> Permutation:
-    if len(p) != lift.n or p[0] != lift.anchor:
-        raise ValueError("permutation does not start at the anchor")
-    return tuple(lift.invert(x) for x in p[1:])
-
-
 def lift_edge(lift: Lift, e: Edge) -> Edge:
     """Transport an edge of the order-(n-1) space one layer up, relabeled."""
     check_edge(e, lift.n - 1)
     return Edge(lift.apply(e.i), lift.apply(e.j), e.t + 1)
-
-
-def unlift_edge(lift: Lift, e: Edge) -> Edge:
-    check_edge(e, lift.n)
-    if e.t < 2 or e.i == lift.anchor or e.j == lift.anchor:
-        raise ValueError(f"edge {tuple(e)} is outside the lifted range")
-    return Edge(lift.invert(e.i), lift.invert(e.j), e.t - 1)
-
-
-def lifted_edge_range(lift: Lift) -> list[Edge]:
-    """The image of the edge lift: layers 2+, both endpoints off the anchor."""
-    n = lift.n
-    return [
-        Edge(i, j, t)
-        for t in range(2, n)
-        for i in range(1, n + 1)
-        if i != lift.anchor
-        for j in range(1, n + 1)
-        if j != lift.anchor
-    ]
 
 
 def base_basis(n: int) -> list[Permutation]:

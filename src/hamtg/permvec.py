@@ -8,7 +8,7 @@ is a contiguous slice.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import Iterable, Union
 
 from .gf2 import bit_indices
 from .timegraph import (
@@ -96,6 +96,25 @@ def pair_indicator(p: Permutation) -> PairVector:
     raw = 0
     for ei in bit_indices(inc):
         raw |= inc << (ei * size)
+    return PairVector(n, raw)
+
+
+def pair_sum(n: int, masks: Iterable[int]) -> PairVector:
+    """Xor of the pair indicators of the permutations with these incident masks.
+
+    Row e of one permutation's pair indicator is its incident mask when e
+    is incident on it and zero otherwise, so row e of the sum is the xor of
+    the masks through e; each row is shifted into place once.  A repeated
+    mask cancels, and no masks give zero.
+    """
+    size = edge_space_size(n)
+    rows: dict[int, int] = {}
+    for m in masks:
+        for e in bit_indices(m):
+            rows[e] = rows.get(e, 0) ^ m
+    raw = 0
+    for e, row in rows.items():
+        raw |= row << (e * size)
     return PairVector(n, raw)
 
 

@@ -83,9 +83,8 @@ def incidence_columns(n: int, basis_perms: Sequence[Permutation]) -> list[int]:
             raise ValueError(f"basis permutation {p} is not of order {n}")
         check_permutation(p)
         bit = 1 << i
-        # edge (p[t], p[t+1], t+1) at its edge_index
-        for t in range(n - 1):
-            cols[(t * n + p[t] - 1) * n + p[t + 1] - 1] |= bit
+        for e in bit_indices(incident_mask(p)):
+            cols[e] |= bit
     return cols
 
 

@@ -7,12 +7,15 @@ import random
 import numpy as np
 
 from hamtg.gf2 import Gf2Basis, bit_indices
+from hamtg.liftbasis import Lift
 from hamtg.permvec import PairVector, support_mask
 from hamtg.timegraph import (
     Edge,
     Graph,
+    Permutation,
     TimeGraph,
     all_permutations,
+    check_edge,
     edge_from_index,
     edge_index,
     edge_space_size,
@@ -156,3 +159,31 @@ def is_symmetric(g: PairVector) -> bool:
             if ((gb >> (a * size + b)) & 1) != ((gb >> (b * size + a)) & 1):
                 return False
     return True
+
+
+def unlift_perm(lift: Lift, p: Permutation) -> Permutation:
+    """Inverse of lift_perm on the permutations that start at the anchor."""
+    if len(p) != lift.n or p[0] != lift.anchor:
+        raise ValueError("permutation does not start at the anchor")
+    return tuple(lift.invert(x) for x in p[1:])
+
+
+def unlift_edge(lift: Lift, e: Edge) -> Edge:
+    """Inverse of lift_edge on lifted_edge_range."""
+    check_edge(e, lift.n)
+    if e.t < 2 or e.i == lift.anchor or e.j == lift.anchor:
+        raise ValueError(f"edge {tuple(e)} is outside the lifted range")
+    return Edge(lift.invert(e.i), lift.invert(e.j), e.t - 1)
+
+
+def lifted_edge_range(lift: Lift) -> list[Edge]:
+    """The image of the edge lift: layers 2+, both endpoints off the anchor."""
+    n = lift.n
+    return [
+        Edge(i, j, t)
+        for t in range(2, n)
+        for i in range(1, n + 1)
+        if i != lift.anchor
+        for j in range(1, n + 1)
+        if j != lift.anchor
+    ]

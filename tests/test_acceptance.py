@@ -42,6 +42,7 @@ from hamtg.timegraph import (
     edge_space_size,
     hamiltonian_path_oracle,
     incident_edges,
+    incident_mask,
     is_hamiltonian_oracle,
     is_incident,
     reduce_hamp,
@@ -115,7 +116,7 @@ def test_criterion_3_tail_sum_regression():
     total = 0
     for n, trials in ((4, 1000), (5, 200)):
         perms = build_basis(n)
-        pair_cache = [pair_indicator(p) for p in perms]
+        masks = [incident_mask(p) for p in perms]
         for trial in range(trials):
             rng = random.Random(f"tailsum:{n}:{trial}")
             G = TimeGraph(n, rng.getrandbits(edge_space_size(n)))
@@ -124,7 +125,7 @@ def test_criterion_3_tail_sum_regression():
             cb = build_canonical_basis(G, order=order)
             if trial % 10 == 0:
                 coeffs = supported_coefficient_space(G, perms)
-                g = sample_supported_element(G, rng, coeffs, pair_cache)
+                g = sample_supported_element(G, rng, coeffs, masks)
             else:
                 g = sample_incident_combination(G, rng)
             dec = decompose(g, cb)

@@ -130,6 +130,13 @@ def test_crossval_cli(capsys):
     assert data["false_negative_count"] == 0
 
 
+def test_crossval_cli_random_prints_the_seeded_run(capsys):
+    code = main(["crossval", "--n", "4", "--random", "3", "--seed", "1"])
+    expected = hamtg.lab.crossval(4, exhaustive=False, random_count=3, seed=1)
+    assert code == 0
+    assert capsys.readouterr().out == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+
+
 def test_crossval_cli_fails_on_false_negative(capsys, monkeypatch):
     def one_false_negative(n, **kwargs):
         return {"graphs": 1, "false_negative_count": 1, "false_negatives": [{}]}

@@ -9,6 +9,7 @@ from hamtg import lab
 from hamtg.canonical import InternalInconsistencyError, build_canonical_basis
 from hamtg.gf2 import rank
 from hamtg.lab import (
+    audit_false_positive,
     check_conjecture1,
     check_conjecture2,
     crossval,
@@ -25,10 +26,13 @@ from hamtg.permvec import (
     is_supported_in,
     pair_indicator,
 )
+from hamtg.solver import decide_time_graph
 from hamtg.timegraph import (
+    Graph,
     TimeGraph,
     all_permutations,
     incident_permutations,
+    reduce_hamp,
 )
 
 
@@ -232,31 +236,44 @@ def test_crossval_random_is_deterministic():
     assert a == b
 
 
-def _count_pair_indicators(monkeypatch) -> list:
+def _count_pair_sums(monkeypatch) -> list:
     calls = []
+    pair_sum = lab.pair_sum
 
-    def counted(p):
-        calls.append(p)
-        return pair_indicator(p)
+    def counted(n, masks):
+        calls.append(n)
+        return pair_sum(n, masks)
 
-    monkeypatch.setattr(lab, "pair_indicator", counted)
+    monkeypatch.setattr(lab, "pair_sum", counted)
     return calls
 
 
 def test_crossval_builds_no_pair_indicators_without_a_false_positive(monkeypatch):
     expected = crossval(4)
-    calls = _count_pair_indicators(monkeypatch)
+    calls = _count_pair_sums(monkeypatch)
     assert crossval(4) == expected
     assert calls == []
 
 
 def test_crossval_builds_pair_indicators_once_for_all_false_positives(monkeypatch):
     # an oracle that always says no turns every yes into a false positive
-    calls = _count_pair_indicators(monkeypatch)
+    expected = crossval(4)
     monkeypatch.setattr(lab, "hamiltonian_path_oracle", lambda g: False)
+    uncounted = crossval(4)
+    calls = _count_pair_sums(monkeypatch)
     result = crossval(4)
-    assert result["false_positive_count"] > 1
-    assert calls == list(build_basis(4))
+    assert result == uncounted
+    assert result["false_positive_count"] == expected["agree_yes"] > 1
+    assert calls == [4] * result["false_positive_count"]
+
+
+def test_audit_of_the_time_graph_equals_the_crossval_audit(monkeypatch):
+    monkeypatch.setattr(lab, "hamiltonian_path_oracle", lambda g: False)
+    perms = build_basis(4)
+    for fp in crossval(4)["false_positives"]:
+        T = reduce_hamp(Graph.from_edges(4, fp["graph_pairs"]))
+        witness = decide_time_graph(T, perms).witness
+        assert audit_false_positive(T, witness, perms) == fp["audit"]
 
 
 def test_crossval_requires_count_for_random():

@@ -11,9 +11,6 @@ from hamtg.liftbasis import (
     build_basis,
     lift_edge,
     lift_perm,
-    lifted_edge_range,
-    unlift_edge,
-    unlift_perm,
 )
 from hamtg.permvec import pair_indicator
 from hamtg.timegraph import (
@@ -24,7 +21,7 @@ from hamtg.timegraph import (
     is_incident,
 )
 
-from helpers import in_span_oracle
+from helpers import in_span_oracle, lifted_edge_range, unlift_edge, unlift_perm
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,14 @@
-"""Every global name the package's code reads is defined somewhere.
+"""Every global name the package's code reads is defined somewhere, and
+every name a module imports is read.
 
 A misspelled or stale name in a branch that no other test reaches would
 otherwise surface only as a NameError in the field.  The check is static:
 each module's source is compiled (not run) and every code object in it is
-walked with ``dis``.
+walked with ``dis``.  An import left behind by a deletion is found on the
+module's syntax tree.
 """
 
+import ast
 import builtins
 import dis
 from pathlib import Path
@@ -74,3 +77,46 @@ def test_check_reports_an_undefined_name(tmp_path):
         "    return h + C.y\n"
     )
     assert undefined_globals(src) == ["sample.f: missing_name"]
+
+
+def unused_imports(path: Path) -> list[str]:
+    """'module: name' per module-level import that no ast.Name reads.
+
+    Annotations count as reads; ``from __future__`` imports bind nothing.
+    """
+    tree = ast.parse(path.read_text(), str(path))
+    imported = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            imported += [a.asname or a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [a.asname or a.name for a in node.names]
+    read = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    return [f"{path.stem}: {name}" for name in imported if name not in read]
+
+
+def test_every_import_is_read():
+    # __init__ imports only to re-export
+    paths = sorted(p for p in PACKAGE_DIR.glob("*.py") if p.name != "__init__.py")
+    assert len(paths) >= 8
+    assert [msg for path in paths for msg in unused_imports(path)] == []
+
+
+def test_check_reports_an_unused_import(tmp_path):
+    src = tmp_path / "sample.py"
+    src.write_text(
+        "from __future__ import annotations\n"
+        "import os\n"
+        "import json as js\n"
+        "import xml.dom\n"
+        "from typing import Optional, Sequence\n"
+        "from . import sibling\n"
+        "def f(x: Optional[int]) -> None:\n"
+        "    js = 1  # rebinds, never reads\n"
+        "    return os.sep, sibling.name\n"
+    )
+    assert unused_imports(src) == ["sample: js", "sample: xml", "sample: Sequence"]

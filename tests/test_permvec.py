@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hamtg.gf2 import Gf2Basis, LengthMismatchError, bit_indices, rank
 from hamtg.permvec import (
@@ -12,6 +14,7 @@ from hamtg.permvec import (
     is_cycle,
     is_supported_in,
     pair_indicator,
+    pair_sum,
     row_at,
     value,
     value_pair,
@@ -22,6 +25,7 @@ from hamtg.timegraph import (
     all_permutations,
     identity,
     incident_edges,
+    incident_mask,
     incident_permutations,
     reduce_hamp,
 )
@@ -67,6 +71,28 @@ def test_pair_indicator_popcount_and_diagonal(n):
         g = pair_indicator(p)
         assert g.bits.bit_count() == (n - 1) ** 2
         assert diagonal(g) == edge_indicator(p)
+
+
+@st.composite
+def permutation_lists(draw):
+    """An order n <= 5 and a list of its permutations, repeats allowed."""
+    n = draw(st.integers(min_value=1, max_value=5))
+    perm = st.permutations(range(1, n + 1)).map(tuple)
+    perms = draw(st.lists(perm, max_size=8))
+    if perms and draw(st.booleans()):
+        perms += draw(st.lists(st.sampled_from(perms), min_size=1, max_size=4))
+    return n, perms
+
+
+@settings(max_examples=80, deadline=None)
+@given(permutation_lists())
+@example((4, []))  # no masks: zero
+@example((4, [(2, 1, 3, 4)] * 2))  # a repeat cancels
+@example((4, [(2, 1, 3, 4)] * 3 + [(1, 2, 3, 4)]))
+def test_pair_sum_is_the_xor_of_pair_indicators(case):
+    n, perms = case
+    expected = xor_all(map(pair_indicator, perms), PairVector.zero(n))
+    assert pair_sum(n, [incident_mask(p) for p in perms]) == expected
 
 
 def test_indicator_rejects_non_permutation():

@@ -14,6 +14,7 @@ from hamtg.solver import (
     assemble_system,
     decide_hamiltonian_path,
     decide_time_graph,
+    incidence_columns,
 )
 from hamtg.timegraph import (
     Edge,
@@ -78,6 +79,14 @@ def test_value_row_is_all_ones():
 def test_assemble_rejects_order_mismatch():
     with pytest.raises(ValueError):
         assemble_system(TimeGraph.complete(3), build_basis(4))
+
+
+def test_incidence_columns_reject_a_bad_permutation_on_every_call():
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            incidence_columns(3, [(1, 2, 3), (1, 1, 3)])
+        with pytest.raises(ValueError):
+            incidence_columns(3, [(1, 2, 3, 4)])
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
