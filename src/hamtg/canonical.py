@@ -10,16 +10,16 @@ the permutations incident on G_l.
 
 A permutation belongs to layer l exactly when e_l is the last of its
 missing edges in the enumeration (layer 0 when none is missing), so one
-pass over the candidates sorts them into their layers.
+pass over the enumeration finds every permutation's layer.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
-from .gf2 import Gf2Basis, rank_profile
+from .gf2 import Gf2Basis, column_rank_profile, rank_profile
 from .permvec import EdgeVector, PairVector, diagonal, pair_indicator, pair_sum
 from .timegraph import (
     Permutation,
@@ -28,6 +28,7 @@ from .timegraph import (
     edge_space_size,
     incident_mask,
     permutation_table,
+    permutations_through,
 )
 
 
@@ -87,35 +88,48 @@ def _build(
     order: Optional[Sequence[int]],
     perm_seed: Optional[int],
     cap: Optional[int],
-    length: int,
-    row: Callable[[Permutation, int], int],
+    pairs: bool,
 ) -> CanonicalBasis:
-    """Greedy layered basis of the span of row(p, incident_mask(p)) over all p.
-
-    Each layer takes its candidates in sequence order; a candidate's layer
-    is the 1-based enumeration position of its last missing edge, 0 if none.
-    The candidates the greedy pass keeps are the rank profile of their rows
-    in that order.
+    """Greedy layered basis of the span of the edge or, with pairs, the pair
+    indicators.  A candidate is a permutation_table index; its layer is the
+    enumeration position of its last missing edge (0 if none), the last
+    position the ascending pass below writes onto it.  Each layer takes its
+    candidates in table order or, as random.shuffle's swaps depend only on
+    the length, in the seeded shuffle of the table.
     """
     check_perm_cap(G.n, cap)
     order = _checked_order(G, order)
-    position = [0] * edge_space_size(G.n)  # 0 for the edges of G
+    table = permutation_table(G.n)
+    through = permutations_through(G.n)
+    layer_of = [0] * len(table)
     for pos, e in enumerate(order, 1):
-        position[e] = pos
-    table = list(permutation_table(G.n))
+        for k in through[e]:
+            layer_of[k] = pos
+    candidates = list(range(len(table)))
     if perm_seed is not None:
-        random.Random(perm_seed).shuffle(table)
-    buckets: list[list[tuple[Permutation, int]]] = [[] for _ in range(len(order) + 1)]
-    for p, mask, edges in table:
-        buckets[max(map(position.__getitem__, edges), default=0)].append((p, mask))
-    candidates = [(li, p, mask) for li, bucket in enumerate(buckets) for p, mask in bucket]
-    kept, basis = rank_profile([row(p, mask) for _, p, mask in candidates], length)
+        random.Random(perm_seed).shuffle(candidates)
+    candidates.sort(key=layer_of.__getitem__)
+    size = edge_space_size(G.n)
+    if pairs:
+        rows = [pair_indicator(table[k][0]).bits for k in candidates]
+        kept, basis = rank_profile(rows, size * size)
+    else:
+        # the candidates' 0/1 matrix has far fewer columns than rows; bit i
+        # of column e is set when candidate i goes through e
+        bit = [0] * len(table)
+        for i, k in enumerate(candidates):
+            bit[k] = 1 << i
+        kept = column_rank_profile([sum(map(bit.__getitem__, ks)) for ks in through], len(table))
+        basis = Gf2Basis(size)
+        for i in kept:
+            basis.insert_raw(table[candidates[i]][1])
     if basis.rank != len(kept):
         raise InternalInconsistencyError("a rank-profile row is dependent")
-    layers: list[list[BasisElement]] = [[] for _ in buckets]
+    layers: list[list[BasisElement]] = [[] for _ in range(len(order) + 1)]
     for i in kept:
-        li, p, _ = candidates[i]
-        layers[li].append(BasisElement(li, len(layers[li]), p))
+        k = candidates[i]
+        li = layer_of[k]
+        layers[li].append(BasisElement(li, len(layers[li]), table[k][0]))
     return CanonicalBasis(G, order, tuple(map(tuple, layers)), perm_seed, basis)
 
 
@@ -131,7 +145,7 @@ def build_canonical_basis(
     order within each layer is lexicographic, or seeded-shuffled when
     perm_seed is given (the construction is deterministic either way).
     """
-    return _build(G, order, perm_seed, cap, edge_space_size(G.n), lambda p, mask: mask)
+    return _build(G, order, perm_seed, cap, False)
 
 
 def build_canonical_pair_basis(
@@ -144,10 +158,7 @@ def build_canonical_pair_basis(
 
     The result spans the pair span; decompose does not accept it.
     """
-    return _build(
-        G, order, perm_seed, cap, edge_space_size(G.n) ** 2,
-        lambda p, mask: pair_indicator(p).bits,
-    )
+    return _build(G, order, perm_seed, cap, True)
 
 
 @dataclass(frozen=True)

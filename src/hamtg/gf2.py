@@ -177,31 +177,13 @@ def rank(vectors: Sequence[Vector]) -> int:
 
 def rank_profile(rows: Sequence[int], length: int) -> tuple[list[int], Gf2Basis]:
     """The rows (ints of the given bit length) that extend the span of the
-    rows before them, ascending, and the echelon of those rows inserted in
-    that order, which is the basis a greedy pass over all rows ends with.
-
-    Row i extends it exactly when some vector of the column span has lowest
-    set bit i, so with fewer columns than rows the columns are eliminated
-    instead: the kept rows are the pivots of their echelon, and only those
-    rows are inserted.
-    """
+    rows before them, ascending, and the basis of a greedy pass over all
+    rows (column_rank_profile is faster when columns are far fewer)."""
     for r in rows:
         if r < 0 or r >> length:
             raise ValueError(f"row has set bits beyond length {length}")
     basis = Gf2Basis(length)
-    if length >= len(rows):
-        return [i for i, r in enumerate(rows) if basis.insert_raw(r).extended], basis
-    cols = [0] * length
-    for i, r in enumerate(rows):
-        bit = 1 << i
-        while r:
-            low = r & -r
-            cols[low.bit_length() - 1] |= bit
-            r ^= low
-    kept = column_rank_profile(cols, len(rows))
-    for i in kept:
-        basis.insert_raw(rows[i])
-    return kept, basis
+    return [i for i, r in enumerate(rows) if basis.insert_raw(r).extended], basis
 
 
 def column_rank_profile(cols: Iterable[int], nrows: int) -> list[int]:
@@ -239,17 +221,18 @@ class LinearSolveResult:
 
     @cached_property
     def nullspace(self) -> tuple[int, ...]:
-        """Basis of the homogeneous solutions, one vector per free variable, ascending.
+        """Basis of the homogeneous solutions, one vector per free variable, ascending."""
+        return self.nullspace_without(0)
 
-        Built on first read by back-substituting the echelon, highest pivot
-        first; empty for an inconsistent system.
+    def nullspace_without(self, skip: int) -> tuple[int, ...]:
+        """The nullspace vectors of the free variables outside the mask skip,
+        by back-substituting the echelon, highest pivot first; empty for an
+        inconsistent system.
         """
         rows = self._pivots
         if rows is None:
             return ()
-        free_mask = (1 << self._nvars) - 1
-        for p in rows:
-            free_mask ^= 1 << p
+        free_mask = ((1 << self._nvars) - 1) & ~skip & ~sum(1 << p for p in rows)
         null = {f: 1 << f for f in bit_indices(free_mask)}
         done: dict[int, int] = {}
         above = 0  # the pivots already back-substituted, all higher than p

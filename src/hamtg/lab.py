@@ -65,14 +65,13 @@ def supported_coefficient_space(
     These are the homogeneous solutions of the assembled system (the value
     row dropped), lifted from the roots to every variable; the homogeneous
     system is always consistent.  A contracted variable is in no row, so
-    its own vector is exactly its bit and is dropped: the contraction
-    already fixes it.
+    its own vector would be exactly its bit; it is not built, since the
+    contraction already fixes that variable.
     """
     system = assemble_system(G, basis_perms)
     hom = system.rows[:-1]
     res = solve_system(hom, (0,) * len(hom), system.nvars)
-    contracted = system.contracted
-    return [system.lift(v) for v in res.nullspace if not v & contracted]
+    return [system.lift(v) for v in res.nullspace_without(system.contracted)]
 
 
 def _image_span(

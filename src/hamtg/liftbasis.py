@@ -55,9 +55,6 @@ class Lift:
     def apply(self, j: int) -> int:
         return self.table[j - 1]
 
-    def invert(self, v: int) -> int:
-        return self.table.index(v) + 1
-
 
 def lift_perm(lift: Lift, p: Permutation) -> Permutation:
     """Embed a permutation of 1..n-1 as one of 1..n starting at the anchor."""

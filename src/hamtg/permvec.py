@@ -119,13 +119,11 @@ def pair_sum(n: int, masks: Iterable[int]) -> PairVector:
 
 
 def diagonal(g: PairVector) -> EdgeVector:
-    """Diagonal extraction g(e, e); linear in g."""
+    """Diagonal extraction g(e, e); linear in g.  Bit (e, e) is bit
+    e * (size + 1): every (size + 1)-th digit of g's size * size digit binary
+    string, e descending."""
     size = edge_space_size(g.n)
-    raw = 0
-    gb = g.bits
-    for e in range(size):
-        raw |= ((gb >> (e * (size + 1))) & 1) << e
-    return EdgeVector(g.n, raw)
+    return EdgeVector(g.n, int(format(g.bits, f"0{size * size}b")[:: size + 1], 2))
 
 
 def row_at(g: PairVector, e: Edge) -> EdgeVector:

@@ -223,6 +223,17 @@ def permutation_table(n: int) -> tuple[tuple[Permutation, int, tuple[int, ...]],
     return tuple(table)
 
 
+@functools.cache
+def permutations_through(n: int) -> tuple[tuple[int, ...], ...]:
+    """Per edge index, the permutation_table indices of the permutations
+    through it, ascending; kept per order like permutation_table."""
+    through: list[list[int]] = [[] for _ in range(edge_space_size(n))]
+    for k, (_, _, edges) in enumerate(permutation_table(n)):
+        for e in edges:
+            through[e].append(k)
+    return tuple(map(tuple, through))
+
+
 def is_incident(e: Edge, p: Permutation) -> bool:
     """Whether edge (i, j, t) is incident on p, i.e. p(t) = i and p(t+1) = j."""
     check_edge(e, len(p))

@@ -161,11 +161,16 @@ def is_symmetric(g: PairVector) -> bool:
     return True
 
 
+def unlift_label(lift: Lift, v: int) -> int:
+    """Inverse of lift.apply: the order-(n-1) label that lift maps to v."""
+    return lift.table.index(v) + 1
+
+
 def unlift_perm(lift: Lift, p: Permutation) -> Permutation:
     """Inverse of lift_perm on the permutations that start at the anchor."""
     if len(p) != lift.n or p[0] != lift.anchor:
         raise ValueError("permutation does not start at the anchor")
-    return tuple(lift.invert(x) for x in p[1:])
+    return tuple(unlift_label(lift, x) for x in p[1:])
 
 
 def unlift_edge(lift: Lift, e: Edge) -> Edge:
@@ -173,7 +178,7 @@ def unlift_edge(lift: Lift, e: Edge) -> Edge:
     check_edge(e, lift.n)
     if e.t < 2 or e.i == lift.anchor or e.j == lift.anchor:
         raise ValueError(f"edge {tuple(e)} is outside the lifted range")
-    return Edge(lift.invert(e.i), lift.invert(e.j), e.t - 1)
+    return Edge(unlift_label(lift, e.i), unlift_label(lift, e.j), e.t - 1)
 
 
 def lifted_edge_range(lift: Lift) -> list[Edge]:

@@ -10,7 +10,7 @@ from hamtg.canonical import (
     decompose,
     tail_sum_check,
 )
-from hamtg.gf2 import LengthMismatchError, rank
+from hamtg.gf2 import LengthMismatchError, bit_indices, rank
 from hamtg.permvec import (
     PairVector,
     diagonal,
@@ -126,6 +126,18 @@ def test_layer_counts_are_dimension_increments():
         )
         assert cb.d[li] == dim - prev_dim
         prev_dim = dim
+
+
+def test_order7_edge_basis_rank_and_layers():
+    # 211 is the dimension of the order-7 edge span; each element's layer is
+    # the enumeration position of its last missing edge
+    G, order = random_instance(7, random.Random(11))
+    cb = build_canonical_basis(G, order=order, perm_seed=3)
+    assert cb.rank == len(cb.elements) == 211
+    position = {e: pos for pos, e in enumerate(order, 1)}
+    for el in cb.elements:
+        missing = bit_indices(incident_mask(el.perm) & ~G.edges)
+        assert el.layer == max(map(position.__getitem__, missing), default=0)
 
 
 def test_order_validation():

@@ -23,6 +23,7 @@ from hamtg.timegraph import (
     Edge,
     TimeGraph,
     all_permutations,
+    edge_space_size,
     identity,
     incident_edges,
     incident_mask,
@@ -138,6 +139,19 @@ def test_diagonal_zero_and_linearity():
     p1, p2 = (1, 2, 3), (2, 3, 1)
     lhs = diagonal(pair_indicator(p1) ^ pair_indicator(p2))
     assert lhs == edge_indicator(p1) ^ edge_indicator(p2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 7), st.randoms(use_true_random=False))
+def test_diagonal_matches_per_bit_reference(n, rnd):
+    size = edge_space_size(n)
+    last = (size - 1) * (size + 1)  # bit (e, e) of the last edge, the top bit
+    for top in (0, 1):
+        bits = rnd.getrandbits(size * size) & ~(1 << last) | top << last
+        got = diagonal(PairVector(n, bits))
+        for e in range(size):
+            assert got.bits >> e & 1 == bits >> (e * size + e) & 1
+        assert got.bits >> (size - 1) == top
 
 
 def test_row_at_incident_edge_recovers_indicator():
