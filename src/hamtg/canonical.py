@@ -1,4 +1,4 @@
-"""Layered canonical bases of the indicator spans, and the closed-cycle decomposition.
+"""Layered canonical bases of the edge span, and the closed-cycle decomposition.
 
 Fix a time-graph G and an enumeration (e_1, ..., e_k) of its complement.
 Let G_0 = G and G_l = G_{l-1} + e_l.  A canonical basis of the edge span is
@@ -19,8 +19,8 @@ import random
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .gf2 import Gf2Basis, column_rank_profile, rank_profile
-from .permvec import EdgeVector, PairVector, diagonal, pair_indicator, pair_sum
+from .gf2 import Gf2Basis, column_rank_profile
+from .permvec import EdgeVector, PairVector, diagonal, pair_sum
 from .timegraph import (
     Permutation,
     TimeGraph,
@@ -45,7 +45,7 @@ class BasisElement:
 
 @dataclass(frozen=True)
 class CanonicalBasis:
-    """Layered basis of the edge span or, from the pair builder, the pair span."""
+    """Layered basis of the edge span."""
 
     G: TimeGraph
     order: tuple[int, ...]  # enumeration of the complement, as edge indices
@@ -83,19 +83,22 @@ def _checked_order(
     return order
 
 
-def _build(
+def build_canonical_basis(
     G: TimeGraph,
-    order: Optional[Sequence[int]],
-    perm_seed: Optional[int],
-    cap: Optional[int],
-    pairs: bool,
+    order: Optional[Sequence[int]] = None,
+    perm_seed: Optional[int] = None,
+    cap: Optional[int] = None,
 ) -> CanonicalBasis:
-    """Greedy layered basis of the span of the edge or, with pairs, the pair
-    indicators.  A candidate is a permutation_table index; its layer is the
-    enumeration position of its last missing edge (0 if none), the last
-    position the ascending pass below writes onto it.  Each layer takes its
-    candidates in table order or, as random.shuffle's swaps depend only on
-    the length, in the seeded shuffle of the table.
+    """Canonical basis of the edge span with respect to G and an enumeration.
+
+    The default enumeration is ascending edge index; the default candidate
+    order within each layer is lexicographic, or seeded-shuffled when
+    perm_seed is given (the construction is deterministic either way).
+
+    A candidate is a permutation_table index; its layer is the enumeration
+    position of its last missing edge (0 if none), the last position the
+    ascending pass below writes onto it.  As random.shuffle's swaps depend
+    only on the length, shuffling the indices shuffles the table.
     """
     check_perm_cap(G.n, cap)
     order = _checked_order(G, order)
@@ -109,20 +112,16 @@ def _build(
     if perm_seed is not None:
         random.Random(perm_seed).shuffle(candidates)
     candidates.sort(key=layer_of.__getitem__)
-    size = edge_space_size(G.n)
-    if pairs:
-        rows = [pair_indicator(table[k][0]).bits for k in candidates]
-        kept, basis = rank_profile(rows, size * size)
-    else:
-        # the candidates' 0/1 matrix has far fewer columns than rows; bit i
-        # of column e is set when candidate i goes through e
-        bit = [0] * len(table)
-        for i, k in enumerate(candidates):
-            bit[k] = 1 << i
-        kept = column_rank_profile([sum(map(bit.__getitem__, ks)) for ks in through], len(table))
-        basis = Gf2Basis(size)
-        for i in kept:
-            basis.insert_raw(table[candidates[i]][1])
+    # the greedy selection is the rank profile of the candidates' 0/1
+    # matrix, which has far fewer columns than rows; bit i of column e is
+    # set when candidate i goes through e
+    bit = [0] * len(table)
+    for i, k in enumerate(candidates):
+        bit[k] = 1 << i
+    kept = column_rank_profile([sum(map(bit.__getitem__, ks)) for ks in through], len(table))
+    basis = Gf2Basis(edge_space_size(G.n))
+    for i in kept:
+        basis.insert_raw(table[candidates[i]][1])
     if basis.rank != len(kept):
         raise InternalInconsistencyError("a rank-profile row is dependent")
     layers: list[list[BasisElement]] = [[] for _ in range(len(order) + 1)]
@@ -131,34 +130,6 @@ def _build(
         li = layer_of[k]
         layers[li].append(BasisElement(li, len(layers[li]), table[k][0]))
     return CanonicalBasis(G, order, tuple(map(tuple, layers)), perm_seed, basis)
-
-
-def build_canonical_basis(
-    G: TimeGraph,
-    order: Optional[Sequence[int]] = None,
-    perm_seed: Optional[int] = None,
-    cap: Optional[int] = None,
-) -> CanonicalBasis:
-    """Canonical basis of the edge span with respect to G and an enumeration.
-
-    The default enumeration is ascending edge index; the default candidate
-    order within each layer is lexicographic, or seeded-shuffled when
-    perm_seed is given (the construction is deterministic either way).
-    """
-    return _build(G, order, perm_seed, cap, False)
-
-
-def build_canonical_pair_basis(
-    G: TimeGraph,
-    order: Optional[Sequence[int]] = None,
-    perm_seed: Optional[int] = None,
-    cap: Optional[int] = None,
-) -> CanonicalBasis:
-    """Same layered construction applied to the pair indicators.
-
-    The result spans the pair span; decompose does not accept it.
-    """
-    return _build(G, order, perm_seed, cap, True)
 
 
 @dataclass(frozen=True)
@@ -178,9 +149,7 @@ def decompose(g: PairVector, cb: CanonicalBasis) -> Decomposition:
     """Split g into a closed cycle plus canonical basis elements.
 
     The coefficients are those of g's diagonal image over the edge basis;
-    they are unique, and the reconstruction is verified bit-exactly.  cb
-    must come from build_canonical_basis: a pair basis raises
-    LengthMismatchError.
+    they are unique, and the reconstruction is verified bit-exactly.
     """
     if g.n != cb.G.n:
         raise ValueError(f"order mismatch: {g.n} vs {cb.G.n}")

@@ -79,10 +79,7 @@ class BitVec:
 
 @dataclass(frozen=True)
 class InsertResult:
-    """Outcome of a basis insertion: whether the vector extended the span.
-
-    ``coords`` gives the combination of a dependent vector when it is needed.
-    """
+    """Outcome of a basis insertion: whether the vector extended the span."""
 
     extended: bool
 
@@ -173,17 +170,6 @@ def rank(vectors: Sequence[Vector]) -> int:
     for v in vectors:
         basis.insert(v)
     return basis.rank
-
-
-def rank_profile(rows: Sequence[int], length: int) -> tuple[list[int], Gf2Basis]:
-    """The rows (ints of the given bit length) that extend the span of the
-    rows before them, ascending, and the basis of a greedy pass over all
-    rows (column_rank_profile is faster when columns are far fewer)."""
-    for r in rows:
-        if r < 0 or r >> length:
-            raise ValueError(f"row has set bits beyond length {length}")
-    basis = Gf2Basis(length)
-    return [i for i, r in enumerate(rows) if basis.insert_raw(r).extended], basis
 
 
 def column_rank_profile(cols: Iterable[int], nrows: int) -> list[int]:

@@ -1,11 +1,12 @@
 """Recursive pair-indicator basis construction via anchored permutation lifts.
 
 A lift with anchor i embeds the permutations of 1..n-1 into the
-permutations of 1..n that start with i, by relabeling through a bijection
-from 1..n-1 onto {1..n} minus the anchor.  Edges transport the same way,
-shifted one layer up.  Lifting a basis of the order-(n-1) pair span under
-every anchor yields a spanning set of the order-n pair span, from which a
-greedy pass extracts a basis.
+permutations of 1..n that start with i, by the order-preserving relabeling
+that skips i (labels from i up move one step higher).  Edges transport the
+same way, shifted one layer up.  Lifting a basis of the order-(n-1) pair
+span under every anchor yields a spanning set of the order-n pair span,
+from which a greedy pass (one lift step) extracts a basis.  The recursion
+starts from the order-1 seed.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from __future__ import annotations
 import json
 import os
 import uuid
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -23,7 +23,6 @@ from .timegraph import (
     Edge,
     OracleScaleError,
     Permutation,
-    all_permutations,
     check_edge,
     edge_space_size,
 )
@@ -32,59 +31,50 @@ CACHE_ENV = "HAMTG_CACHE_DIR"
 DEFAULT_ORDER_CAP = 6  # full pair vectors at order 7+ get expensive
 
 
-@dataclass(frozen=True)
-class Lift:
-    """Anchor vertex plus a bijection 1..n-1 -> {1..n} minus the anchor."""
-
-    n: int
-    anchor: int
-    table: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if not 1 <= self.anchor <= self.n:
-            raise ValueError(f"anchor {self.anchor} out of range for order {self.n}")
-        expected = set(range(1, self.n + 1)) - {self.anchor}
-        if len(self.table) != self.n - 1 or set(self.table) != expected:
-            raise ValueError("table is not a bijection onto the non-anchor labels")
-
-    @classmethod
-    def canonical(cls, n: int, anchor: int) -> "Lift":
-        """The order-preserving bijection that skips the anchor."""
-        return cls(n, anchor, tuple(j if j < anchor else j + 1 for j in range(1, n)))
-
-    def apply(self, j: int) -> int:
-        return self.table[j - 1]
+def lift_perm(anchor: int, p: Permutation) -> Permutation:
+    """Embed a permutation of 1..n-1 as one of 1..n starting at the anchor,
+    relabeling each label from the anchor up one step higher."""
+    if not 1 <= anchor <= len(p) + 1:
+        raise ValueError(f"anchor {anchor} out of range for order {len(p) + 1}")
+    return (anchor, *(x + (x >= anchor) for x in p))
 
 
-def lift_perm(lift: Lift, p: Permutation) -> Permutation:
-    """Embed a permutation of 1..n-1 as one of 1..n starting at the anchor."""
-    if len(p) != lift.n - 1:
-        raise ValueError(f"expected a permutation of 1..{lift.n - 1}")
-    return (lift.anchor,) + tuple(lift.apply(x) for x in p)
+def lift_edge(anchor: int, e: Edge, n: int) -> Edge:
+    """Transport an edge of the order-(n-1) space one layer up, relabeled
+    as lift_perm relabels."""
+    if not 1 <= anchor <= n:
+        raise ValueError(f"anchor {anchor} out of range for order {n}")
+    check_edge(e, n - 1)
+    return Edge(e.i + (e.i >= anchor), e.j + (e.j >= anchor), e.t + 1)
 
 
-def lift_edge(lift: Lift, e: Edge) -> Edge:
-    """Transport an edge of the order-(n-1) space one layer up, relabeled."""
-    check_edge(e, lift.n - 1)
-    return Edge(lift.apply(e.i), lift.apply(e.j), e.t + 1)
+def _lift_step(n: int, prev: list[Permutation]) -> list[Permutation]:
+    """Greedy maximal independent subset of the lifts of a basis of the
+    order-(n-1) pair span under every anchor in 1..n, visiting the
+    candidates in (anchor, previous-basis) order."""
+    basis = Gf2Basis(edge_space_size(n) ** 2)
+    out = []
+    for anchor in range(1, n + 1):
+        for pk in prev:
+            q = lift_perm(anchor, pk)
+            if basis.insert(pair_indicator(q)).extended:
+                out.append(q)
+    return out
 
 
 def base_basis(n: int) -> list[Permutation]:
-    """Direct greedy basis of the pair span for orders up to 3.
+    """Basis of the pair span for orders up to 3, by lift steps from the
+    order-1 seed.
 
     At order 1 the edge space is empty and the single permutation is kept
     as the recursion seed even though its indicator is the empty vector.
     """
     if not 1 <= n <= 3:
-        raise ValueError(f"direct construction only covers orders 1..3, got {n}")
-    if n == 1:
-        return [(1,)]
-    basis = Gf2Basis(edge_space_size(n) ** 2)
-    out = []
-    for p in all_permutations(n):
-        if basis.insert(pair_indicator(p)).extended:
-            out.append(p)
-    return out
+        raise ValueError(f"base_basis only covers orders 1..3, got {n}")
+    basis = [(1,)]
+    for m in range(2, n + 1):
+        basis = _lift_step(m, basis)
+    return basis
 
 
 def _cache_path(cache_dir: str, n: int) -> Path:
@@ -104,10 +94,9 @@ def build_basis(
 ) -> list[Permutation]:
     """Basis of the order-n pair span consisting of permutation indicators.
 
-    Recursion: lift a basis of the order-(n-1) span under every anchor in
-    1..n and keep the greedy maximal independent subset, visiting the
-    candidates in (anchor, previous-basis) order.  Per-order results are
-    cached on disk as JSON when a cache directory is configured.
+    Recursion: one lift step from build_basis(n - 1), ending at
+    base_basis for orders up to 3.  Per-order results are cached on disk
+    as JSON when a cache directory is configured.
     """
     limit = DEFAULT_ORDER_CAP if cap is None else cap
     if n > limit:
@@ -125,15 +114,7 @@ def build_basis(
     if n <= 3:
         result = base_basis(n)
     else:
-        prev = build_basis(n - 1, cache_dir=cache_dir, cap=limit)
-        basis = Gf2Basis(edge_space_size(n) ** 2)
-        result = []
-        for anchor in range(1, n + 1):
-            lift = Lift.canonical(n, anchor)
-            for pk in prev:
-                q = lift_perm(lift, pk)
-                if basis.insert(pair_indicator(q)).extended:
-                    result.append(q)
+        result = _lift_step(n, build_basis(n - 1, cache_dir=cache_dir, cap=limit))
     if cache_dir is not None:
         path = _cache_path(cache_dir, n)
         path.parent.mkdir(parents=True, exist_ok=True)

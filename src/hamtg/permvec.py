@@ -157,13 +157,15 @@ def is_closed_cycle(g: PairVector) -> bool:
 
 
 def support_mask(g: PairVector) -> int:
-    """Bitmask over edge indices whose row is nonzero."""
+    """Bitmask over edge indices whose row is nonzero.  Row e is the size
+    digits from (size - 1 - e) * size on of g's size * size digit binary
+    string, as in diagonal; a shift of g per row would copy all of g."""
     size = edge_space_size(g.n)
-    row = (1 << size) - 1
-    gb = g.bits
+    digits = format(g.bits, f"0{size * size}b")
     out = 0
     for e in range(size):
-        if (gb >> (e * size)) & row:
+        start = (size - 1 - e) * size
+        if "1" in digits[start : start + size]:
             out |= 1 << e
     return out
 

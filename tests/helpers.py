@@ -7,7 +7,6 @@ import random
 import numpy as np
 
 from hamtg.gf2 import Gf2Basis, bit_indices
-from hamtg.liftbasis import Lift
 from hamtg.permvec import PairVector, support_mask
 from hamtg.timegraph import (
     Edge,
@@ -161,34 +160,54 @@ def is_symmetric(g: PairVector) -> bool:
     return True
 
 
-def unlift_label(lift: Lift, v: int) -> int:
-    """Inverse of lift.apply: the order-(n-1) label that lift maps to v."""
-    return lift.table.index(v) + 1
+def unlift_label(anchor: int, v: int) -> int:
+    """Inverse of the lift relabeling: the order-(n-1) label lifted to v."""
+    return v - (v > anchor)
 
 
-def unlift_perm(lift: Lift, p: Permutation) -> Permutation:
+def unlift_perm(anchor: int, p: Permutation) -> Permutation:
     """Inverse of lift_perm on the permutations that start at the anchor."""
-    if len(p) != lift.n or p[0] != lift.anchor:
+    if not p or p[0] != anchor:
         raise ValueError("permutation does not start at the anchor")
-    return tuple(unlift_label(lift, x) for x in p[1:])
+    return tuple(unlift_label(anchor, x) for x in p[1:])
 
 
-def unlift_edge(lift: Lift, e: Edge) -> Edge:
+def unlift_edge(anchor: int, e: Edge, n: int) -> Edge:
     """Inverse of lift_edge on lifted_edge_range."""
-    check_edge(e, lift.n)
-    if e.t < 2 or e.i == lift.anchor or e.j == lift.anchor:
+    check_edge(e, n)
+    if e.t < 2 or e.i == anchor or e.j == anchor:
         raise ValueError(f"edge {tuple(e)} is outside the lifted range")
-    return Edge(unlift_label(lift, e.i), unlift_label(lift, e.j), e.t - 1)
+    return Edge(unlift_label(anchor, e.i), unlift_label(anchor, e.j), e.t - 1)
 
 
-def lifted_edge_range(lift: Lift) -> list[Edge]:
+def lifted_edge_range(anchor: int, n: int) -> list[Edge]:
     """The image of the edge lift: layers 2+, both endpoints off the anchor."""
-    n = lift.n
     return [
         Edge(i, j, t)
         for t in range(2, n)
         for i in range(1, n + 1)
-        if i != lift.anchor
+        if i != anchor
         for j in range(1, n + 1)
-        if j != lift.anchor
+        if j != anchor
     ]
+
+
+def prefix_rank_profile(rows: list[int], length: int) -> list[int]:
+    """Rows whose prefix rank exceeds the rank of the rows before them.
+
+    Each row of a numpy uint8 matrix is reduced, in turn, by the kept rows
+    before it, each at its first nonzero column; a kept row is already
+    reduced by the earlier kept rows, so one pass in insertion order
+    clears every pivot column, and the row extends the span exactly when
+    something is left.
+    """
+    kept, pivots = [], []
+    for i, r in enumerate(to_matrix(rows, length)):
+        for c, pr in pivots:
+            if r[c]:
+                r ^= pr
+        nonzero = np.flatnonzero(r)
+        if nonzero.size:
+            pivots.append((nonzero[0], r))
+            kept.append(i)
+    return kept

@@ -23,7 +23,7 @@ from hamtg.lab import (
     sample_supported_element,
     supported_coefficient_space,
 )
-from hamtg.liftbasis import Lift, build_basis, lift_edge, lift_perm
+from hamtg.liftbasis import build_basis, lift_edge, lift_perm
 from hamtg.permvec import (
     EdgeVector,
     PairVector,
@@ -143,21 +143,20 @@ def test_criterion_4_lift_bijections_and_transport():
         Edge(i, j, t) for t in (1, 2) for i in (1, 2, 3) for j in (1, 2, 3)
     ]
     for anchor in range(1, n + 1):
-        lift = Lift.canonical(n, anchor)
         images = set()
         for p in all_permutations(3):
-            q = lift_perm(lift, p)
+            q = lift_perm(anchor, p)
             assert q[0] == anchor
             images.add(q)
             for e in edges3:
-                assert is_incident(e, p) == is_incident(lift_edge(lift, e), q)
+                assert is_incident(e, p) == is_incident(lift_edge(anchor, e, n), q)
             small, big = pair_indicator(p), pair_indicator(q)
             for e, e2 in itertools.product(edges3, repeat=2):
                 assert small.get(e, e2) == big.get(
-                    lift_edge(lift, e), lift_edge(lift, e2)
+                    lift_edge(anchor, e, n), lift_edge(anchor, e2, n)
                 )
         assert images == {q for q in all_permutations(4) if q[0] == anchor}
-        lifted = {lift_edge(lift, e) for e in edges3}
+        lifted = {lift_edge(anchor, e, n) for e in edges3}
         assert len(lifted) == 3 * 3 * 2
         assert all(e.t >= 2 and e.i != anchor and e.j != anchor for e in lifted)
     # sampled at order 5
@@ -167,14 +166,14 @@ def test_criterion_4_lift_bijections_and_transport():
     ]
     perms4 = all_permutations(4)
     for _ in range(60):
-        lift = Lift.canonical(5, rng.randrange(1, 6))
+        anchor = rng.randrange(1, 6)
         p = perms4[rng.randrange(len(perms4))]
-        small, big = pair_indicator(p), pair_indicator(lift_perm(lift, p))
+        small, big = pair_indicator(p), pair_indicator(lift_perm(anchor, p))
         for _ in range(50):
             e = edges4[rng.randrange(len(edges4))]
             e2 = edges4[rng.randrange(len(edges4))]
             assert small.get(e, e2) == big.get(
-                lift_edge(lift, e), lift_edge(lift, e2)
+                lift_edge(anchor, e, 5), lift_edge(anchor, e2, 5)
             )
     _report("4 lift-transport", f"{time.time()-t0:.1f}s")
 

@@ -6,11 +6,10 @@ from hypothesis import strategies as st
 
 from hamtg.canonical import (
     build_canonical_basis,
-    build_canonical_pair_basis,
     decompose,
     tail_sum_check,
 )
-from hamtg.gf2 import LengthMismatchError, bit_indices, rank
+from hamtg.gf2 import bit_indices, rank
 from hamtg.permvec import (
     PairVector,
     diagonal,
@@ -144,9 +143,8 @@ def test_order_validation():
     G = reduce_hamp(path_graph(3))
     with pytest.raises(ValueError):
         build_canonical_basis(G, order=[0, 1])
-    for build in (build_canonical_basis, build_canonical_pair_basis):
-        with pytest.raises(OracleScaleError):
-            build(TimeGraph.complete(9))
+    with pytest.raises(OracleScaleError):
+        build_canonical_basis(TimeGraph.complete(9))
 
 
 def test_perm_seed_changes_layer_content_not_rank():
@@ -155,26 +153,6 @@ def test_perm_seed_changes_layer_content_not_rank():
     b = build_canonical_basis(T, perm_seed=5)
     assert a.rank == b.rank
     assert a.d[0] == b.d[0]
-
-
-# ---------------------------------------------------------------------------
-# pair basis
-
-def test_pair_basis_complete_graph():
-    n = 4
-    pb = build_canonical_pair_basis(TimeGraph.complete(n))
-    full = rank([pair_indicator(p) for p in all_permutations(n)])
-    assert pb.d == (full,)
-
-
-def test_pair_basis_rank_is_order_independent():
-    rng = random.Random(8)
-    G, order = random_instance(3, rng)
-    a = build_canonical_pair_basis(G)
-    b = build_canonical_pair_basis(G, order=order)
-    full = rank([pair_indicator(p) for p in all_permutations(3)])
-    # layer counts may differ between enumerations, the total rank may not
-    assert a.rank == b.rank == full
 
 
 # ---------------------------------------------------------------------------
@@ -188,13 +166,9 @@ def test_pair_basis_rank_is_order_independent():
 )
 def test_builders_match_per_layer_rescan(n, rng, perm_seed):
     G, order = random_instance(n, rng)
-    for build, vector in (
-        (build_canonical_basis, edge_indicator),
-        (build_canonical_pair_basis, pair_indicator),
-    ):
-        cb = build(G, order=order, perm_seed=perm_seed)
-        got = [(el.layer, el.slot, el.perm) for el in cb.elements]
-        assert got == canonical_layers_reference(G, order, perm_seed, vector)
+    cb = build_canonical_basis(G, order=order, perm_seed=perm_seed)
+    got = [(el.layer, el.slot, el.perm) for el in cb.elements]
+    assert got == canonical_layers_reference(G, order, perm_seed, edge_indicator)
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -226,12 +200,6 @@ def test_decompose_zero():
     assert dec.alpha == ()
     assert dec.gc.is_zero()
     assert all(f.is_zero() for f in dec.layer_sums)
-
-
-def test_decompose_rejects_pair_basis():
-    pb = build_canonical_pair_basis(reduce_hamp(path_graph(3)))
-    with pytest.raises(LengthMismatchError):
-        decompose(pair_indicator((1, 2, 3)), pb)
 
 
 @pytest.mark.parametrize("n", [4, 5])

@@ -10,11 +10,10 @@ from hamtg.gf2 import (
     LengthMismatchError,
     column_rank_profile,
     rank,
-    rank_profile,
     solve_system,
 )
 
-from helpers import in_span_oracle, rank_oracle
+from helpers import in_span_oracle, prefix_rank_profile, rank_oracle
 
 
 def bv(length, *indices):
@@ -134,9 +133,13 @@ def test_rank_agrees_with_independent_elimination():
 
 
 # ---------------------------------------------------------------------------
-# rank_profile
+# column_rank_profile
 
-def test_rank_profile_small_cases():
+def _columns(rows, length):
+    return [sum((r >> c & 1) << i for i, r in enumerate(rows)) for c in range(length)]
+
+
+def test_column_rank_profile_small_cases():
     # (length, rows, kept): both shapes, zero rows, duplicates, no rows
     cases = [
         (0, [], []),
@@ -149,26 +152,7 @@ def test_rank_profile_small_cases():
         (5, [0b10000, 0b00001, 0b10001], [0, 1]),
     ]
     for length, rows, kept in cases:
-        got, basis = rank_profile(rows, length)
-        assert got == kept, (length, rows)
-        assert basis.length == length and basis.rank == len(kept)
-
-
-def test_rank_profile_rejects_wide_rows():
-    for rows in ([0b100], [0, 0, 0, 0b100], [-1]):
-        with pytest.raises(ValueError):
-            rank_profile(rows, 2)
-
-
-def _prefix_rank_profile(rows, length):
-    """Rows whose prefix rank exceeds the rank of the rows before them."""
-    kept, before = [], 0
-    for i in range(len(rows)):
-        r = rank_oracle(rows[: i + 1], length)
-        if r > before:
-            kept.append(i)
-        before = r
-    return kept
+        assert column_rank_profile(_columns(rows, length), len(rows)) == kept, (length, rows)
 
 
 profile_cases = st.integers(0, 10).flatmap(
@@ -184,29 +168,16 @@ profile_cases = st.integers(0, 10).flatmap(
 @example((0, []), random.Random(0))
 @example((3, [5, 0, 5, 3, 6, 6, 0]), random.Random(0))
 @example((8, [0, 9, 9, 0]), random.Random(0))
-def test_rank_profile_matches_prefix_ranks(case, rnd):
+def test_column_rank_profile_matches_prefix_ranks(case, rnd):
+    # the rank profile of the rows, read off the columns in any order with
+    # zero ones left out; rows may repeat
     length, rows = case
-    for _ in range(rnd.randrange(4)):  # duplicate rows
+    for _ in range(rnd.randrange(4)):
         if rows:
             rows.insert(rnd.randrange(len(rows) + 1), rnd.choice(rows))
-    kept, basis = rank_profile(rows, length)
-    assert kept == _prefix_rank_profile(rows, length)
-    # the basis holds exactly the kept rows, original j at coordinate j
-    assert basis.length == length and basis.rank == len(kept)
-    for j, i in enumerate(kept):
-        assert basis.coords_raw(rows[i]) == (j,)
-    assert all(basis.coords_raw(r) is not None for r in rows)
-
-
-@settings(max_examples=150, deadline=None)
-@given(profile_cases, st.randoms(use_true_random=False))
-def test_column_rank_profile_matches_prefix_ranks(case, rnd):
-    # the same profile read off the columns, in any order, zero ones left out
-    length, rows = case
-    cols = [sum((r >> c & 1) << i for i, r in enumerate(rows)) for c in range(length)]
-    cols = [c for c in cols if c]
+    cols = [c for c in _columns(rows, length) if c]
     rnd.shuffle(cols)
-    assert column_rank_profile(cols, len(rows)) == _prefix_rank_profile(rows, length)
+    assert column_rank_profile(cols, len(rows)) == prefix_rank_profile(rows, length)
 
 
 def test_column_rank_profile_rejects_tall_columns():

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import random
 from pathlib import Path
 
@@ -6,7 +8,6 @@ import pytest
 
 from hamtg.gf2 import Gf2Basis, rank
 from hamtg.liftbasis import (
-    Lift,
     base_basis,
     build_basis,
     lift_edge,
@@ -27,49 +28,43 @@ from helpers import in_span_oracle, lifted_edge_range, unlift_edge, unlift_perm
 # ---------------------------------------------------------------------------
 # lifts
 
-def test_canonical_table_skips_anchor():
-    lift = Lift.canonical(4, 2)
-    assert lift.table == (1, 3, 4)
-
-
-def test_lift_rejects_bad_table():
+def test_lift_rejects_anchor_out_of_range():
+    for anchor in (0, 5):
+        with pytest.raises(ValueError):
+            lift_perm(anchor, (1, 2, 3))
+        with pytest.raises(ValueError):
+            lift_edge(anchor, Edge(1, 3, 1), 4)
     with pytest.raises(ValueError):
-        Lift(4, 2, (1, 3, 3))
-    with pytest.raises(ValueError):
-        Lift(4, 5, (1, 2, 3))
+        lift_edge(2, Edge(1, 4, 1), 4)  # not an order-3 edge
 
 
 def test_lift_perm_example():
-    lift = Lift.canonical(4, 2)
-    assert lift_perm(lift, (1, 2, 3)) == (2, 1, 3, 4)
+    assert lift_perm(2, (1, 2, 3)) == (2, 1, 3, 4)
 
 
 def test_lift_perm_identity_anchor_one():
     for n in (3, 4, 5):
-        lift = Lift.canonical(n, 1)
-        assert lift_perm(lift, tuple(range(1, n))) == tuple(range(1, n + 1))
+        assert lift_perm(1, tuple(range(1, n))) == tuple(range(1, n + 1))
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_lift_perm_bijection_onto_anchor_class(n):
     for anchor in range(1, n + 1):
-        lift = Lift.canonical(n, anchor)
-        images = {lift_perm(lift, p) for p in all_permutations(n - 1)}
+        images = {lift_perm(anchor, p) for p in all_permutations(n - 1)}
         expected = {p for p in all_permutations(n) if p[0] == anchor}
         assert images == expected  # injective with the right image
         for p in all_permutations(n - 1):
-            assert unlift_perm(lift, lift_perm(lift, p)) == p
+            assert unlift_perm(anchor, lift_perm(anchor, p)) == p
 
 
 def test_lift_edge_example():
-    lift = Lift.canonical(4, 2)
-    assert lift_edge(lift, Edge(1, 3, 1)) == Edge(1, 4, 2)
-    assert unlift_edge(lift, Edge(1, 4, 2)) == Edge(1, 3, 1)
+    assert lift_edge(2, Edge(1, 3, 1), 4) == Edge(1, 4, 2)
+    assert unlift_edge(2, Edge(1, 4, 2), 4) == Edge(1, 3, 1)
 
 
 @pytest.mark.parametrize("n", range(3, 8))
 def test_lift_edge_bijection(n):
-    lift = Lift.canonical(n, min(2, n))
+    anchor = min(2, n)
     domain = [
         Edge(i, j, t)
         for t in range(1, n - 1)
@@ -77,32 +72,30 @@ def test_lift_edge_bijection(n):
         for j in range(1, n)
     ]
     assert len(domain) == edge_space_size(n - 1)
-    images = {lift_edge(lift, e) for e in domain}
+    images = {lift_edge(anchor, e, n) for e in domain}
     assert len(images) == (n - 1) ** 2 * (n - 2)
-    assert images == set(lifted_edge_range(lift))
+    assert images == set(lifted_edge_range(anchor, n))
 
 
 def test_unlift_edge_rejects_out_of_range():
-    lift = Lift.canonical(4, 2)
     with pytest.raises(ValueError):
-        unlift_edge(lift, Edge(1, 3, 1))  # layer 1 is never hit
+        unlift_edge(2, Edge(1, 3, 1), 4)  # layer 1 is never hit
     with pytest.raises(ValueError):
-        unlift_edge(lift, Edge(2, 3, 2))  # anchor endpoint
+        unlift_edge(2, Edge(2, 3, 2), 4)  # anchor endpoint
 
 
 def test_incidence_transport_exhaustive_order4():
     n = 4
     for anchor in range(1, n + 1):
-        lift = Lift.canonical(n, anchor)
         for p in all_permutations(n - 1):
-            q = lift_perm(lift, p)
+            q = lift_perm(anchor, p)
             for e in (
                 Edge(i, j, t)
                 for t in range(1, n - 1)
                 for i in range(1, n)
                 for j in range(1, n)
             ):
-                assert is_incident(e, p) == is_incident(lift_edge(lift, e), q)
+                assert is_incident(e, p) == is_incident(lift_edge(anchor, e, n), q)
 
 
 def test_pair_entry_transport_exhaustive_order4():
@@ -111,13 +104,12 @@ def test_pair_entry_transport_exhaustive_order4():
         Edge(i, j, t) for t in (1, 2) for i in (1, 2, 3) for j in (1, 2, 3)
     ]
     for anchor in range(1, n + 1):
-        lift = Lift.canonical(n, anchor)
         for p in all_permutations(3):
             small = pair_indicator(p)
-            big = pair_indicator(lift_perm(lift, p))
+            big = pair_indicator(lift_perm(anchor, p))
             for e, e2 in itertools.product(edges3, repeat=2):
                 assert small.get(e, e2) == big.get(
-                    lift_edge(lift, e), lift_edge(lift, e2)
+                    lift_edge(anchor, e, n), lift_edge(anchor, e2, n)
                 )
 
 
@@ -130,15 +122,14 @@ def test_pair_entry_transport_sampled_order5():
     perms = all_permutations(4)
     for _ in range(30):
         anchor = rng.randrange(1, n + 1)
-        lift = Lift.canonical(n, anchor)
         p = perms[rng.randrange(len(perms))]
         small = pair_indicator(p)
-        big = pair_indicator(lift_perm(lift, p))
+        big = pair_indicator(lift_perm(anchor, p))
         for _ in range(40):
             e = edges4[rng.randrange(len(edges4))]
             e2 = edges4[rng.randrange(len(edges4))]
             assert small.get(e, e2) == big.get(
-                lift_edge(lift, e), lift_edge(lift, e2)
+                lift_edge(anchor, e, n), lift_edge(anchor, e2, n)
             )
 
 
@@ -155,11 +146,10 @@ def test_linear_relations_transport_through_lifts():
         combo = basis_vecs.coords(pair_indicator(p))
         assert combo is not None
         anchor = rng.randrange(1, n_small + 2)
-        lift = Lift.canonical(n_small + 1, anchor)
-        lifted = pair_indicator(lift_perm(lift, p))
+        lifted = pair_indicator(lift_perm(anchor, p))
         back = lifted
         for k in combo:
-            back = back ^ pair_indicator(lift_perm(lift, basis_perms[k]))
+            back = back ^ pair_indicator(lift_perm(anchor, basis_perms[k]))
         assert back.is_zero()
 
 
@@ -192,6 +182,26 @@ def test_build_basis_size_matches_bruteforce_rank(n):
     perms = build_basis(n)
     brute = rank([pair_indicator(p) for p in all_permutations(n)])
     assert len(perms) == brute
+
+
+# sha256 of json.dumps(build_basis(n)): the bases, their order and their
+# labels are fixed outputs, cached on disk and read by every decision
+PINNED_BASES = {
+    1: "043f347c2cdc0d8ce70c38775d24e556c0290acf6d0c87a3a52aa85471cb8d02",
+    2: "cfceeada3fffa0fe5fce5ee16bdb384f7f4f2c60fc42ffef62886d7962b34af7",
+    3: "dc008f92bc03b935ca86268860eb921e361e9657554e9d2130ec3d7a0631654a",
+    4: "fb358aef846ec458ee66550d89c9343142f2f63fff42ca0b629f438cb8f2e384",
+    5: "c58916347faeef01f564a5117e919eb2f7254ab6aa46d730b9d14d16bd339ce1",
+    6: "ea63e2a754d370f45440d779a6caa46b25ccbc8e74bf323847c98cefb2730d2f",
+}
+
+
+def test_build_basis_is_pinned():
+    got = {
+        n: hashlib.sha256(json.dumps(build_basis(n, cache_dir=None)).encode()).hexdigest()
+        for n in PINNED_BASES
+    }
+    assert got == PINNED_BASES
 
 
 @pytest.mark.parametrize("n", [3, 4])

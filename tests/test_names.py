@@ -1,5 +1,5 @@
-"""Every global name the package's code reads is defined somewhere, and
-every name a module imports is read.
+"""Every global name the package's code reads is defined somewhere, every
+name a module imports is read, and the package exports what it binds.
 
 A misspelled or stale name in a branch that no other test reaches would
 otherwise surface only as a NameError in the field.  The check is static:
@@ -12,7 +12,7 @@ import ast
 import builtins
 import dis
 from pathlib import Path
-from types import CodeType
+from types import CodeType, ModuleType
 
 import hamtg
 
@@ -120,3 +120,19 @@ def test_check_reports_an_unused_import(tmp_path):
         "    return os.sep, sibling.name\n"
     )
     assert unused_imports(src) == ["sample: js", "sample: xml", "sample: Sequence"]
+
+
+def test_exports_match_the_package():
+    # a stale entry in __all__ breaks `from hamtg import *`; a public name
+    # left out of it is missing from the star import
+    assert [name for name in hamtg.__all__ if not hasattr(hamtg, name)] == []
+    assert len(set(hamtg.__all__)) == len(hamtg.__all__)
+    public = {
+        name
+        for name, obj in vars(hamtg).items()
+        if not name.startswith("_") and not isinstance(obj, ModuleType)
+    }
+    assert sorted(public - set(hamtg.__all__)) == []
+    namespace: dict = {}
+    exec("from hamtg import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(hamtg.__all__)

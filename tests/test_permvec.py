@@ -16,6 +16,7 @@ from hamtg.permvec import (
     pair_indicator,
     pair_sum,
     row_at,
+    support_mask,
     value,
     value_pair,
 )
@@ -291,6 +292,20 @@ def test_support_of_zero():
     g = PairVector.zero(3)
     assert support(g) == frozenset()
     assert is_supported_in(g, TimeGraph.empty(3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 7), st.randoms(use_true_random=False))
+def test_support_mask_matches_per_row_reference(n, rnd):
+    # order 1 has no edges; sparse rows leave some rows zero, and the top
+    # bit sits in the last row
+    size = edge_space_size(n)
+    rows = [rnd.getrandbits(size) if rnd.randrange(2) else 0 for _ in range(size)]
+    sparse = sum(r << (e * size) for e, r in enumerate(rows))
+    last = 1 << (size * size - 1) if size else 0
+    for bits in (0, sparse, last, sparse | last):
+        want = sum(1 << e for e in range(size) if bits >> (e * size) & ((1 << size) - 1))
+        assert support_mask(PairVector(n, bits)) == want
 
 
 def test_incident_combinations_are_supported():
