@@ -168,13 +168,27 @@ profile_cases = st.integers(0, 10).flatmap(
 @example((0, []), random.Random(0))
 @example((3, [5, 0, 5, 3, 6, 6, 0]), random.Random(0))
 @example((8, [0, 9, 9, 0]), random.Random(0))
-def test_column_rank_profile_matches_prefix_ranks(case, rnd):
-    # the rank profile of the rows, read off the columns in any order with
-    # zero ones left out; rows may repeat
+def test_rank_profile_matches_prefix_ranks(case, rnd):
     length, rows = case
-    for _ in range(rnd.randrange(4)):
+    for _ in range(rnd.randrange(4)):  # duplicate rows
         if rows:
             rows.insert(rnd.randrange(len(rows) + 1), rnd.choice(rows))
+    kept = column_rank_profile(_columns(rows, length), len(rows))
+    assert kept == prefix_rank_profile(rows, length)
+    # the kept rows are independent and span every row, original j at coordinate j
+    basis = Gf2Basis(length)
+    for i in kept:
+        assert basis.insert_raw(rows[i]).extended
+    for j, i in enumerate(kept):
+        assert basis.coords_raw(rows[i]) == (j,)
+    assert all(basis.coords_raw(r) is not None for r in rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(profile_cases, st.randoms(use_true_random=False))
+def test_column_rank_profile_matches_prefix_ranks(case, rnd):
+    # the same profile read off the columns, in any order, zero ones left out
+    length, rows = case
     cols = [c for c in _columns(rows, length) if c]
     rnd.shuffle(cols)
     assert column_rank_profile(cols, len(rows)) == prefix_rank_profile(rows, length)
