@@ -30,13 +30,13 @@ from .canonical import (
     decompose,
     tail_sum_check,
 )
-from .gf2 import Gf2Basis, bit_indices, rank, solve_system
+from .gf2 import Gf2Basis, bit_indices, column_rank_profile, solve_system
 from .liftbasis import build_basis
 from .permvec import (
     PairVector,
-    edge_indicator,
+    _pair_row,
     is_supported_in,
-    pair_indicator,
+    pair_coordinates,
     pair_sum,
     value_pair,
 )
@@ -45,11 +45,13 @@ from .timegraph import (
     Graph,
     Permutation,
     TimeGraph,
-    all_permutations,
+    check_perm_cap,
     edge_space_size,
     hamiltonian_path_oracle,
     incident_mask,
     incident_permutations,
+    permutation_table,
+    permutations_through,
     reduce_hamp,
 )
 
@@ -529,25 +531,32 @@ def dimension_table(
     """Measured dimensions of the indicator spans, against the lift basis size.
 
     The pair-span columns stop at pair_max; where both are computed the
-    lift basis size must equal the brute-force pair rank.
+    lift basis size must equal the brute-force pair rank.  The edge rank is
+    the column rank of the permutations' edge incidence matrix; the pair
+    rank is taken over compact pair rows, which keep the rank for the
+    reason given in liftbasis._lift_step.
     """
+    check_perm_cap(max_n, None)
     out = []
     for n in range(2, max_n + 1):
-        perms = all_permutations(n)
-        dim_edge = rank([edge_indicator(p) for p in perms])
+        table = permutation_table(n)
+        cols = [sum(1 << k for k in ks) for ks in permutations_through(n)]
         row = {
             "n": n,
             "edges": edge_space_size(n),
-            "dim_edge_span": dim_edge,
+            "dim_edge_span": len(column_rank_profile(cols, len(table))),
             "dim_pair_span": None,
             "lift_basis_size": None,
             "consistent": None,
         }
         if n <= pair_max:
-            dim_pair = rank([pair_indicator(p) for p in perms])
+            coords = pair_coordinates(n)
+            pair_rows = Gf2Basis(len(coords))
+            for p, _, _ in table:
+                pair_rows.insert_raw(_pair_row(coords, p))
             basis_n = len(build_basis(n, cache_dir=cache_dir, cap=pair_max))
-            row["dim_pair_span"] = dim_pair
+            row["dim_pair_span"] = pair_rows.rank
             row["lift_basis_size"] = basis_n
-            row["consistent"] = dim_pair == basis_n
+            row["consistent"] = pair_rows.rank == basis_n
         out.append(row)
     return out

@@ -7,8 +7,10 @@ is a contiguous slice.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Iterable, Union
+from types import MappingProxyType
+from typing import Iterable, Mapping, Union
 
 from .gf2 import bit_indices
 from .timegraph import (
@@ -97,6 +99,51 @@ def pair_indicator(p: Permutation) -> PairVector:
     for ei in bit_indices(inc):
         raw |= inc << (ei * size)
     return PairVector(n, raw)
+
+
+@functools.cache
+def pair_coordinates(n: int) -> Mapping[tuple[int, int], int]:
+    """Dense index of each edge pair (e, e'), e <= e', that some permutation
+    of 1..n meets, in ascending (e, e') order.
+
+    A permutation meets one edge (i, j, t) with i != j per layer.  Two of
+    its edges in layers t < t' are (i, j, t), (j, l, t + 1) with i, j, l
+    distinct when t' = t + 1, and have four distinct labels otherwise; in
+    one layer it meets only the pair (e, e).  Built from that rule, without
+    enumerating the permutations, once per order; read-only, as every
+    caller shares it.
+    """
+
+    def index(t: int, i: int, j: int) -> int:
+        return (t * n + i) * n + j
+
+    labels = range(n)
+    pairs = []  # ascending: e, then the layer of e', then e' within it
+    for t in range(n - 1):
+        for i in labels:
+            for j in labels:
+                if i == j:
+                    continue
+                e = index(t, i, j)
+                pairs.append((e, e))
+                if t + 1 < n - 1:
+                    pairs.extend((e, index(t + 1, j, l)) for l in labels if l != i and l != j)
+                for t2 in range(t + 2, n - 1):
+                    pairs.extend(
+                        (e, index(t2, k, l))
+                        for k in labels
+                        for l in labels
+                        if len({i, j, k, l}) == 4
+                    )
+    return MappingProxyType({pair: c for c, pair in enumerate(pairs)})
+
+
+def _pair_row(coords: Mapping[tuple[int, int], int], p: Permutation) -> int:
+    """p's pair indicator in the compact coordinates coords (pair_coordinates
+    of p's order): one bit per pair of its incident edges, e <= e'."""
+    n = len(p)
+    edges = [(t * n + p[t] - 1) * n + p[t + 1] - 1 for t in range(n - 1)]
+    return sum(1 << coords[e, e2] for a, e in enumerate(edges) for e2 in edges[a:])
 
 
 def pair_sum(n: int, masks: Iterable[int]) -> PairVector:

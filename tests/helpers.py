@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from typing import Mapping
 
 import numpy as np
 
@@ -158,6 +159,26 @@ def is_symmetric(g: PairVector) -> bool:
             if ((gb >> (a * size + b)) & 1) != ((gb >> (b * size + a)) & 1):
                 return False
     return True
+
+
+def upper_triangle_gather(g: PairVector, coords: Mapping[tuple[int, int], int]) -> int:
+    """g's entries at the pairs of coords, bit c holding g(e, e') for the
+    pair (e, e') of index c."""
+    size = edge_space_size(g.n)
+    return sum(
+        1 << c for (e, e2), c in coords.items() if (g.bits >> (e * size + e2)) & 1
+    )
+
+
+def symmetric_scatter(n: int, row: int, coords: Mapping[tuple[int, int], int]) -> PairVector:
+    """The symmetric pair vector whose entries at coords are row's bits and
+    which is zero elsewhere."""
+    size = edge_space_size(n)
+    bits = 0
+    for (e, e2), c in coords.items():
+        if (row >> c) & 1:
+            bits |= 1 << (e * size + e2) | 1 << (e2 * size + e)
+    return PairVector(n, bits)
 
 
 def unlift_label(anchor: int, v: int) -> int:

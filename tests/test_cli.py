@@ -199,6 +199,8 @@ def test_order_beyond_the_cap_exits_with_input_error(capsys, graph_file):
     assert error == {"error": "OracleScaleError", "message": "basis scale exceeded: n=5 > cap=4"}
     error = _input_error(capsys, ["crossval", "--n", "9"])
     assert error["error"] == "OracleScaleError"
+    error = _input_error(capsys, ["dim", "--max", "9"])
+    assert error == {"error": "OracleScaleError", "message": "oracle scale exceeded: n=9 > cap=8"}
 
 
 def test_internal_inconsistency_is_not_an_input_error(monkeypatch, graph_file):

@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -23,12 +24,14 @@ from hamtg.lab import (
 from hamtg.liftbasis import build_basis
 from hamtg.permvec import (
     PairVector,
+    edge_indicator,
     is_supported_in,
     pair_indicator,
 )
 from hamtg.solver import decide_time_graph
 from hamtg.timegraph import (
     Graph,
+    OracleScaleError,
     TimeGraph,
     all_permutations,
     incident_permutations,
@@ -309,16 +312,29 @@ def test_dimension_table_basis_consistency():
 
 
 def test_dimension_table_matches_bruteforce():
-    table = dimension_table(4)
-    perms = all_permutations(4)
-    from hamtg.permvec import edge_indicator
+    # row ranks of the full indicator vectors, against the table's column
+    # edge rank and compact pair rank
+    for row in dimension_table(6):
+        perms = all_permutations(row["n"])
+        assert row["dim_edge_span"] == rank([edge_indicator(p) for p in perms])
+        assert row["dim_pair_span"] == rank([pair_indicator(p) for p in perms])
 
-    assert table[-1]["dim_edge_span"] == rank(
-        [edge_indicator(p) for p in perms]
-    )
-    assert table[-1]["dim_pair_span"] == rank(
-        [pair_indicator(p) for p in perms]
-    )
+
+def test_dimension_table_refuses_orders_beyond_the_cap(monkeypatch):
+    def enumerate_order(n):
+        raise AssertionError(f"order {n} enumerated before the cap check")
+
+    monkeypatch.setattr(lab, "permutation_table", enumerate_order)
+    with pytest.raises(OracleScaleError, match="n=9 > cap=8"):
+        dimension_table(9)
+
+
+def test_recorded_dimensions_are_reproduced():
+    path = Path(__file__).resolve().parent.parent / "results" / "dimensions.json"
+    rows = json.loads(path.read_text())["rows"]
+    max_n = rows[-1]["n"]
+    assert max_n >= 7
+    assert dimension_table(max_n, pair_max=max_n) == rows
 
 
 # ---------------------------------------------------------------------------

@@ -8,11 +8,13 @@ from hamtg.gf2 import Gf2Basis, LengthMismatchError, bit_indices, rank
 from hamtg.permvec import (
     EdgeVector,
     PairVector,
+    _pair_row,
     diagonal,
     edge_indicator,
     is_closed_cycle,
     is_cycle,
     is_supported_in,
+    pair_coordinates,
     pair_indicator,
     pair_sum,
     row_at,
@@ -29,10 +31,17 @@ from hamtg.timegraph import (
     incident_edges,
     incident_mask,
     incident_permutations,
+    permutation_table,
     reduce_hamp,
 )
 
-from helpers import is_symmetric, path_graph, support
+from helpers import (
+    is_symmetric,
+    path_graph,
+    support,
+    symmetric_scatter,
+    upper_triangle_gather,
+)
 
 
 def xor_all(vectors, zero):
@@ -95,6 +104,66 @@ def test_pair_sum_is_the_xor_of_pair_indicators(case):
     n, perms = case
     expected = xor_all(map(pair_indicator, perms), PairVector.zero(n))
     assert pair_sum(n, [incident_mask(p) for p in perms]) == expected
+
+
+# ---------------------------------------------------------------------------
+# compact pair coordinates
+
+def test_pair_coordinates_sizes():
+    sizes = {n: len(pair_coordinates(n)) for n in range(1, 8)}
+    assert sizes == {1: 0, 2: 2, 3: 18, 4: 108, 5: 620, 6: 2790, 7: 9702}
+    for n in range(1, 8):
+        coords = pair_coordinates(n)
+        assert list(coords) == sorted(coords)
+        assert list(coords.values()) == list(range(len(coords)))
+    with pytest.raises(TypeError):
+        pair_coordinates(3)[0, 0] = 0  # one table shared by every caller
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_pair_coordinates_are_the_met_upper_pairs(n):
+    met = {
+        (e, e2)
+        for _, _, edges in permutation_table(n)
+        for a, e in enumerate(edges)
+        for e2 in edges[a:]
+    }
+    assert set(pair_coordinates(n)) == met
+
+
+@settings(max_examples=80, deadline=None)
+@given(permutation_lists())
+@example((5, [(3, 1, 4, 5, 2), (5, 4, 3, 2, 1)]))
+def test_compact_row_is_the_upper_triangle_gather(case):
+    # the gather loses nothing on the span: scattering it back, mirrored,
+    # gives the full vector again
+    n, perms = case
+    coords = pair_coordinates(n)
+    rows = [_pair_row(coords, p) for p in perms]
+    for p, row in zip(perms, rows):
+        assert row == upper_triangle_gather(pair_indicator(p), coords)
+        assert row.bit_count() == n * (n - 1) // 2
+    g = pair_sum(n, [incident_mask(p) for p in perms])
+    compact = xor_all(rows, 0)
+    assert compact == upper_triangle_gather(g, coords)
+    assert symmetric_scatter(n, compact, coords) == g
+
+
+@pytest.mark.parametrize("n, seed, k", [(4, 0, 16), (5, 1, 60), (5, 2, 90), (6, 3, 200)])
+def test_compact_rank_equals_the_full_vector_rank(n, seed, k):
+    # the same extend-or-dependent decision at every insert, so a greedy
+    # selection over either gives the same permutations
+    rng = random.Random(seed)
+    perms = rng.sample(all_permutations(n), k)
+    coords = pair_coordinates(n)
+    compact = Gf2Basis(len(coords))
+    full = Gf2Basis(edge_space_size(n) ** 2)
+    for p in perms:
+        assert (
+            compact.insert_raw(_pair_row(coords, p)).extended
+            == full.insert(pair_indicator(p)).extended
+        )
+    assert compact.rank == full.rank
 
 
 def test_indicator_rejects_non_permutation():
