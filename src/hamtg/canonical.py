@@ -87,7 +87,6 @@ def build_canonical_basis(
     G: TimeGraph,
     order: Optional[Sequence[int]] = None,
     perm_seed: Optional[int] = None,
-    cap: Optional[int] = None,
 ) -> CanonicalBasis:
     """Canonical basis of the edge span with respect to G and an enumeration.
 
@@ -100,7 +99,7 @@ def build_canonical_basis(
     ascending pass below writes onto it.  As random.shuffle's swaps depend
     only on the length, shuffling the indices shuffles the table.
     """
-    check_perm_cap(G.n, cap)
+    check_perm_cap(G.n)
     order = _checked_order(G, order)
     table = permutation_table(G.n)
     through = permutations_through(G.n)

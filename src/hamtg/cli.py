@@ -112,19 +112,15 @@ def cmd_solve(args) -> int:
 
 
 def cmd_conjectures(args) -> int:
-    conjectures = (args.conjecture,) if args.conjecture else (1, 2)
-
     def run(sink) -> None:
         lab.run_campaign(
             args.n,
             args.trials,
             args.seed,
-            conjectures=conjectures,
             orders=args.orders,
             basis_seed=args.basis_seed,
             cache_dir=args.cache_dir,
             sink=sink,
-            include_timing=args.timing,
         )
 
     if args.out:
@@ -197,10 +193,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--conjecture", type=int, choices=(1, 2), default=None)
     p.add_argument("--orders", type=int, default=1, help="complement enumerations per instance")
     p.add_argument("--basis-seed", type=int, default=None)
-    p.add_argument("--timing", action="store_true", help="include timings (breaks byte-identity)")
     p.add_argument("--cache-dir", default=None)
     p.add_argument("--out")
     p.set_defaults(func=cmd_conjectures)

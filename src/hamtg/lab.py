@@ -5,10 +5,12 @@ layer sums strictly beyond m cancel at e_m for every m up to k-1.
 Conjecture 2 (diagonal feasibility): with j the last nonzero layer sum,
 some element supported in G has that sum as its diagonal image.
 
-Either verdict is a finding, not a failure; the only fatal condition is a
-violation of the proven tail-sum identity, which would mean the
-implementation itself is broken.  All reports are deterministic JSON and
-replay from their serialized witnesses.
+Either verdict is a finding, not a failure.  Two conditions are fatal, as
+either means the implementation is broken: a violation of the proven
+tail-sum identity, and the implication gate (a value-1 element supported
+in a non-hamiltonian time-graph that violates neither conjecture), which
+the campaign and the false-positive audit share.  All reports are
+deterministic JSON and replay from their serialized witnesses.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ import functools
 import itertools
 import json
 import random
-import time
 from dataclasses import dataclass
 from typing import IO, Iterable, Optional, Sequence
 
@@ -126,10 +127,9 @@ class ConjectureReport:
     conjecture: int
     verdict: str  # "holds" | "violated" | "vacuous"
     witness: dict
-    timing_ms: Optional[float] = None
 
-    def to_dict(self, include_timing: bool = False) -> dict:
-        out = {
+    def to_dict(self) -> dict:
+        return {
             "id": self.instance_id,
             "n": self.n,
             "graph_edges": list(self.graph_edges),
@@ -139,14 +139,9 @@ class ConjectureReport:
             "verdict": self.verdict,
             "witness": self.witness,
         }
-        if include_timing:
-            out["timing_ms"] = self.timing_ms
-        return out
 
-    def to_json(self, include_timing: bool = False) -> str:
-        return json.dumps(
-            self.to_dict(include_timing), sort_keys=True, separators=(",", ":")
-        )
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
 
 
 def _decomposed(cb: CanonicalBasis, g: PairVector) -> Decomposition:
@@ -220,6 +215,25 @@ def _conjecture2(
     feasible = image_span.contains(dec.layer_sums[j])
     verdict = "holds" if feasible else "violated"
     return _report(cb, 2, g_hex, dec, instance_id, verdict, j=j, feasible=feasible)
+
+
+def _gated_reports(
+    cb: CanonicalBasis, g: PairVector, g_hex: str, image_span: Gf2Basis, prefix: str
+) -> tuple[ConjectureReport, ConjectureReport, bool]:
+    """Both conjecture reports on one decomposition of g over cb, with ids
+    prefix + "c1" and "c2", and whether the implication gate applied: a
+    value-1 element supported in a non-hamiltonian G (layer 0 empty) must
+    violate a conjecture, or the implementation is broken."""
+    dec = _decomposed(cb, g)
+    r1 = _conjecture1(cb, g_hex, dec, prefix + "c1")
+    r2 = _conjecture2(cb, g_hex, dec, image_span, prefix + "c2")
+    gated = cb.d[0] == 0 and value_pair(g) == 1
+    if gated and "violated" not in (r1.verdict, r2.verdict):
+        raise InternalInconsistencyError(
+            f"{prefix}c1/c2: value-1 supported element on a non-hamiltonian "
+            "instance violated neither conjecture"
+        )
+    return r1, r2, gated
 
 
 def check_conjecture1(
@@ -318,19 +332,17 @@ def run_campaign(
     n: int,
     trials: int,
     seed: int,
-    conjectures: Sequence[int] = (1, 2),
     orders: int = 1,
     basis_seed: Optional[int] = None,
     cache_dir: Optional[str] = None,
     sink: Optional[IO[str]] = None,
-    include_timing: bool = False,
 ) -> dict:
     """Randomized conjecture campaign; returns the summary, streams reports.
 
     Instances alternate between uniform random time-graphs and reductions
     of random graphs; supported elements alternate between xors of incident
     indicators and random members of the supported subspace.  Everything is
-    derived from the seed, so a rerun is byte-identical (timing excluded).
+    derived from the seed, so a rerun is byte-identical.
     """
     basis_perms = build_basis(n, cache_dir=cache_dir)
     incident_masks = [incident_mask(p) for p in basis_perms]
@@ -346,18 +358,13 @@ def run_campaign(
             G = reduce_hamp(random_graph(n, rng))
             source = "reduced"
         generator = "incident-xor" if (trial >> 1) % 2 == 0 else "subspace"
-
-        @functools.cache
-        def subspace() -> tuple[list[int], Gf2Basis]:
-            """This trial's supported coefficient space and its image span, once."""
-            coeff_space = supported_coefficient_space(G, basis_perms)
-            return coeff_space, _image_span(n, coeff_space, incident_masks)
-
+        coeff_space = supported_coefficient_space(G, basis_perms)
+        image_span = _image_span(n, coeff_space, incident_masks)
         g_rng = random.Random(f"{seed}:{n}:{trial}:g")
         if generator == "incident-xor":
             g = sample_incident_combination(G, g_rng)
         else:
-            g = sample_supported_element(G, g_rng, subspace()[0], incident_masks)
+            g = sample_supported_element(G, g_rng, coeff_space, incident_masks)
         # every report of this trial shares one witness string; the hex of
         # an order-6 pair vector is 8,100 characters
         g_hex = format(g.bits, "x")
@@ -372,46 +379,23 @@ def run_campaign(
             if basis_seed is not None:
                 pseed = (basis_seed * 1_000_003 + trial * 1_009 + oi) & 0x7FFFFFFF
             cb = build_canonical_basis(G, order=order, perm_seed=pseed)
-            # both conjectures and the gate read one decomposition
-            t0 = time.perf_counter()
-            dec = _decomposed(cb, g)
-            dec_ms = (time.perf_counter() - t0) * 1000.0
-            by_cid: dict[int, ConjectureReport] = {}
-            for cid in conjectures:
-                instance_id = f"n{n}-t{trial:04d}-o{oi}-c{cid}"
-                t0 = time.perf_counter()
-                if cid == 1:
-                    rep = _conjecture1(cb, g_hex, dec, instance_id)
-                else:
-                    rep = _conjecture2(cb, g_hex, dec, subspace()[1], instance_id)
-                rep.timing_ms = dec_ms + (time.perf_counter() - t0) * 1000.0
+            r1, r2, gated = _gated_reports(
+                cb, g, g_hex, image_span, f"n{n}-t{trial:04d}-o{oi}-"
+            )
+            implication_checks += gated
+            for rep in (r1, r2):
                 rep.witness["source"] = source
                 rep.witness["generator"] = generator
-                by_cid[cid] = rep
                 counts[rep.verdict] += 1
                 reports.append(rep)
                 if sink is not None:
-                    sink.write(rep.to_json(include_timing) + "\n")
-            # instance-wise gate: a value-1 element supported in a
-            # non-hamiltonian graph (layer 0 empty) must violate at least
-            # one conjecture; anything else is an implementation bug
-            if cb.d[0] == 0 and value_pair(g) == 1:
-                implication_checks += 1
-                r1 = by_cid.get(1) or _conjecture1(cb, g_hex, dec, "adhoc")
-                r2 = by_cid.get(2) or _conjecture2(
-                    cb, g_hex, dec, subspace()[1], "adhoc"
-                )
-                if r1.verdict != "violated" and r2.verdict != "violated":
-                    raise InternalInconsistencyError(
-                        "value-1 supported element on a non-hamiltonian "
-                        "instance violated neither conjecture"
-                    )
+                    sink.write(rep.to_json() + "\n")
     summary = {
         "n": n,
         "trials": trials,
         "seed": seed,
         "orders": orders,
-        "conjectures": list(conjectures),
+        "conjectures": [1, 2],
         "reports": len(reports),
         "counts": counts,
         "implication_checks": implication_checks,
@@ -429,24 +413,23 @@ def audit_false_positive(
 ) -> dict:
     """Forensics for a yes-decision on an oracle-no time-graph.
 
-    The witness combination is supported in T and has value 1, so the
-    conjecture checks on it cannot both hold; at least one violated
-    verdict is required, otherwise something proven has failed and the
-    implementation is broken.
+    The witness combination is supported in T and has value 1, so when T
+    is non-hamiltonian the conjecture checks on it cannot both hold: the
+    reports go through the campaign's implication gate, which raises
+    InternalInconsistencyError unless at least one verdict is violated.
     """
     gw = pair_sum(T.n, [incident_mask(basis_perms[k]) for k in witness])
     if not is_supported_in(gw, T) or value_pair(gw) != 1:
         raise InternalInconsistencyError("decision witness is not a valid combination")
-    cb = build_canonical_basis(T)
-    image_span = supported_image_span(T, basis_perms)
-    r1 = check_conjecture1(cb, gw, instance_id="audit-c1")
-    r2 = check_conjecture2(cb, gw, image_span=image_span, instance_id="audit-c2")
-    ok = r1.verdict == "violated" or r2.verdict == "violated"
+    g_hex = format(gw.bits, "x")
+    r1, r2, _ = _gated_reports(
+        build_canonical_basis(T), gw, g_hex, supported_image_span(T, basis_perms), "audit-"
+    )
     return {
-        "g_hex": format(gw.bits, "x"),
+        "g_hex": g_hex,
         "witness": list(witness),
         "reports": [r1.to_dict(), r2.to_dict()],
-        "implication_ok": ok,
+        "implication_ok": "violated" in (r1.verdict, r2.verdict),
     }
 
 
@@ -536,7 +519,7 @@ def dimension_table(
     rank is taken over compact pair rows, which keep the rank for the
     reason given in liftbasis._lift_step.
     """
-    check_perm_cap(max_n, None)
+    check_perm_cap(max_n)
     out = []
     for n in range(2, max_n + 1):
         table = permutation_table(n)

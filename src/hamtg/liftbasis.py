@@ -25,6 +25,9 @@ CACHE_ENV = "HAMTG_CACHE_DIR"
 # a cold build takes under half a second at order 7 and about 40 s at order
 # 8, so orders above 6 are asked for with an explicit cap
 DEFAULT_ORDER_CAP = 6
+# the order-n pair span's dimension (results/dimensions.json; at order 8 the
+# rank of all 40,320 pair indicators); order 1 keeps its seed permutation
+PAIR_SPAN_DIMENSIONS = {1: 1, 2: 2, 3: 6, 4: 24, 5: 120, 6: 719, 7: 4320, 8: 15947}
 
 
 def lift_perm(anchor: int, p: Permutation) -> Permutation:
@@ -93,6 +96,28 @@ def _resolve_cache_dir(cache_dir: Optional[str]) -> Optional[str]:
     return os.environ.get(CACHE_ENV) or None
 
 
+def _load_cache(path: Path, n: int) -> Optional[list[Permutation]]:
+    """The order-n basis cached at path, or None for a missing, unparsable or
+    untrusted file.  A file is trusted when its order is n and it lists
+    distinct permutations of 1..n, as many as the pair span's dimension
+    (any number beyond order 8): a check without elimination, blind to a
+    dependent set of the right size."""
+    try:
+        data = json.loads(path.read_text())
+        perms = [tuple(p) for p in data["permutations"]]
+        labels = list(range(1, n + 1))
+        trusted = (
+            data["n"] == n
+            and len(perms) == PAIR_SPAN_DIMENSIONS.get(n, len(perms))
+            and len(set(perms)) == len(perms)
+            and all(sorted(p) == labels for p in perms)
+            and {type(x) for p in perms for x in p} == {int}
+        )
+    except (OSError, ValueError, LookupError, TypeError):
+        return None
+    return perms if trusted else None
+
+
 def build_basis(
     n: int,
     cache_dir: Optional[str] = None,
@@ -102,7 +127,8 @@ def build_basis(
 
     Recursion: one lift step from build_basis(n - 1), ending at
     base_basis for orders up to 3.  Per-order results are cached on disk
-    as JSON when a cache directory is configured.
+    as JSON when a cache directory is configured; a file _load_cache does
+    not trust is rebuilt and replaced.
     """
     limit = DEFAULT_ORDER_CAP if cap is None else cap
     if n > limit:
@@ -111,12 +137,9 @@ def build_basis(
         raise ValueError(f"order must be positive, got {n}")
     cache_dir = _resolve_cache_dir(cache_dir)
     if cache_dir is not None:
-        path = _cache_path(cache_dir, n)
-        if path.exists():
-            data = json.loads(path.read_text())
-            if data["n"] != n:
-                raise ValueError(f"cache file {path} is for order {data['n']}")
-            return [tuple(p) for p in data["permutations"]]
+        cached = _load_cache(_cache_path(cache_dir, n), n)
+        if cached is not None:
+            return cached
     if n <= 3:
         result = base_basis(n)
     else:

@@ -92,13 +92,7 @@ def edge_indicator(p: Permutation) -> EdgeVector:
 def pair_indicator(p: Permutation) -> PairVector:
     """Indicator of ordered pairs of edges both incident on p."""
     check_permutation(p)
-    n = len(p)
-    size = edge_space_size(n)
-    inc = incident_mask(p)
-    raw = 0
-    for ei in bit_indices(inc):
-        raw |= inc << (ei * size)
-    return PairVector(n, raw)
+    return pair_sum(len(p), [incident_mask(p)])
 
 
 @functools.cache

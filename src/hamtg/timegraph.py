@@ -240,14 +240,14 @@ def is_incident(e: Edge, p: Permutation) -> bool:
     return p[e.t - 1] == e.i and p[e.t] == e.j
 
 
-def check_perm_cap(n: int, cap: int | None) -> None:
+def check_perm_cap(n: int, cap: int | None = None) -> None:
     """Refuse n! enumeration beyond the cap (ORACLE_PERM_CAP by default)."""
     limit = ORACLE_PERM_CAP if cap is None else cap
     if n > limit:
         raise OracleScaleError(f"oracle scale exceeded: n={n} > cap={limit}")
 
 
-def _incident(G: TimeGraph, cap: int | None) -> Iterator[Permutation]:
+def _incident(G: TimeGraph, cap: int | None = None) -> Iterator[Permutation]:
     """Permutations incident on G, lexicographically, under the n! cap."""
     check_perm_cap(G.n, cap)
     edges = G.edges
@@ -256,9 +256,9 @@ def _incident(G: TimeGraph, cap: int | None) -> Iterator[Permutation]:
             yield p
 
 
-def incident_permutations(G: TimeGraph, cap: int | None = None) -> list[Permutation]:
+def incident_permutations(G: TimeGraph) -> list[Permutation]:
     """All permutations incident on G, in lexicographic order."""
-    return list(_incident(G, cap))
+    return list(_incident(G))
 
 
 def is_hamiltonian_oracle(G: TimeGraph, cap: int | None = None) -> bool:

@@ -123,6 +123,30 @@ def test_conjectures_jsonl(capsys):
         assert rep["verdict"] in ("holds", "violated", "vacuous")
 
 
+@pytest.mark.parametrize("flag", [["--conjecture", "1"], ["--timing"]])
+def test_conjectures_has_no_selector_or_timing_flag(capsys, flag):
+    # every campaign checks both conjectures, and its stream is byte-identical
+    with pytest.raises(SystemExit) as exc:
+        main(["conjectures", "--n", "4", "--trials", "1", *flag])
+    assert exc.value.code == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments" in captured.err
+
+
+def test_solve_over_a_torn_cache_file(capsys, tmp_path, graph_file):
+    path = graph_file(path_graph(5))
+    cold = main(["solve", path]), capsys.readouterr().out
+    cache = tmp_path / "cache"
+    assert main(["basis", "--order", "5", "--cache-dir", str(cache)]) == 0
+    capsys.readouterr()
+    cache_file = cache / "pair_basis_n5.json"
+    good = cache_file.read_text()
+    cache_file.write_text(good[: len(good) // 2])
+    assert (main(["solve", path, "--cache-dir", str(cache)]), capsys.readouterr().out) == cold
+    assert cache_file.read_text() == good
+
+
 def test_crossval_cli(capsys):
     code, data = run_json(capsys, ["crossval", "--n", "3"])
     assert code == 0

@@ -35,6 +35,7 @@ from hamtg.timegraph import (
     TimeGraph,
     all_permutations,
     incident_permutations,
+    is_hamiltonian_oracle,
     reduce_hamp,
 )
 
@@ -174,20 +175,20 @@ def test_campaign_is_deterministic():
 
 
 def test_campaign_multiple_orders():
-    out = run_campaign(4, trials=4, seed=2, orders=2, conjectures=(1,))
-    assert out["summary"]["reports"] == 8
+    out = run_campaign(4, trials=4, seed=2, orders=2)
+    assert out["summary"]["reports"] == 16
     by_trial = {}
     for rep in out["reports"]:
         by_trial.setdefault(rep.instance_id.split("-o")[0], []).append(rep)
     for reps in by_trial.values():
-        assert len(reps) == 2
+        assert len(reps) == 4  # two enumerations x two conjectures
         assert {rep.instance_id.split("-")[2] for rep in reps} == {"o0", "o1"}
         # both enumerations cover the same complement
         assert len({tuple(sorted(rep.complement_order)) for rep in reps}) == 1
 
 
 def test_campaign_with_basis_seed_replays():
-    out = run_campaign(4, trials=4, seed=8, basis_seed=3, conjectures=(1,))
+    out = run_campaign(4, trials=4, seed=8, basis_seed=3)
     for rep in out["reports"]:
         assert rep.basis_seed is not None
         assert replay_report(rep.to_dict())
@@ -223,13 +224,12 @@ def test_campaign_reports_are_pinned():
     )
 
 
-def test_implication_gate_without_conjecture2(monkeypatch):
+def test_campaign_gate_raises_when_neither_conjecture_is_violated(monkeypatch):
     # with every element claimed to have value 1, the gate must run on a
-    # non-hamiltonian instance, compute the conjecture-2 verdict itself
-    # (the campaign skipped it), and find that neither conjecture failed
+    # non-hamiltonian instance and find that neither conjecture failed
     monkeypatch.setattr(lab, "value_pair", lambda g: 1)
     with pytest.raises(InternalInconsistencyError, match="violated neither"):
-        run_campaign(4, 4, 0, conjectures=(1,))
+        run_campaign(4, 4, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -290,6 +290,49 @@ def test_audit_of_the_time_graph_equals_the_crossval_audit(monkeypatch):
         assert audit_false_positive(T, witness, perms) == fp["audit"]
 
 
+@pytest.fixture(scope="module")
+def order7_false_positive():
+    """The order-7 time-graph false positive: 200 edges added in a seeded
+    order while no permutation stays incident; the decider says yes."""
+    basis = build_basis(7, cap=7)
+    edges = list(range(294))
+    random.Random(0).shuffle(edges)
+    T = TimeGraph(7, 0)
+    for e in edges:
+        grown = TimeGraph(7, T.edges | 1 << e)
+        if not is_hamiltonian_oracle(grown):
+            T = grown
+    decision = decide_time_graph(T, basis)
+    return T, decision.witness, basis
+
+
+def test_audit_of_a_real_false_positive_violates_both(order7_false_positive):
+    T, witness, basis = order7_false_positive
+    assert len(T.edge_indices()) == 200 and len(witness) == 1571
+    assert not is_hamiltonian_oracle(T)
+    audit = audit_false_positive(T, witness, basis)
+    assert [r["verdict"] for r in audit["reports"]] == ["violated", "violated"]
+    assert audit["reports"][0]["witness"]["failing_m"] == [1, 13, 14, 18, 34]
+    assert audit["reports"][1]["witness"]["j"] == 50
+    assert audit["implication_ok"] is True
+    assert audit["witness"] == list(witness)
+
+
+def test_audit_gate_raises_when_neither_conjecture_is_violated(
+    order7_false_positive, monkeypatch
+):
+    def holds1(cb, g_hex, dec, instance_id):
+        return lab._report(cb, 1, g_hex, dec, instance_id, "holds")
+
+    def holds2(cb, g_hex, dec, image_span, instance_id):
+        return lab._report(cb, 2, g_hex, dec, instance_id, "holds")
+
+    monkeypatch.setattr(lab, "_conjecture1", holds1)
+    monkeypatch.setattr(lab, "_conjecture2", holds2)
+    with pytest.raises(InternalInconsistencyError, match="audit-c1/c2.*violated neither"):
+        audit_false_positive(*order7_false_positive)
+
+
 def test_crossval_requires_count_for_random():
     with pytest.raises(ValueError):
         crossval(4, exhaustive=False)
@@ -348,5 +391,3 @@ def test_report_json_is_deterministic_and_replayable():
         assert json.dumps(data, sort_keys=True, separators=(",", ":")) == blob
         assert "timing_ms" not in data
         assert replay_report(data)
-    timed = out["reports"][0].to_json(include_timing=True)
-    assert "timing_ms" in json.loads(timed)

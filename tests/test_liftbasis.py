@@ -7,7 +7,9 @@ from pathlib import Path
 import pytest
 
 from hamtg.gf2 import Gf2Basis, rank
+from hamtg.lab import crossval
 from hamtg.liftbasis import (
+    PAIR_SPAN_DIMENSIONS,
     base_basis,
     build_basis,
     lift_edge,
@@ -253,3 +255,55 @@ def test_build_basis_overlapping_cache_writers(tmp_path, monkeypatch):
         "pair_basis_n3.json",
         "pair_basis_n4.json",
     ]
+
+
+
+def _cache_text(n, perms) -> str:
+    return json.dumps({"n": n, "permutations": perms}, sort_keys=True) + "\n"
+
+
+def _relabel_first(perms, label):
+    return [[label(x) for x in perms[0]]] + perms[1:]
+
+
+# broken variants of an order-5 cache file, from its text and permutations
+BAD_CACHES = {
+    "torn": lambda text, perms: text[: len(text) // 2],
+    "empty": lambda text, perms: "",
+    "not an object": lambda text, perms: json.dumps(perms),
+    "no permutations": lambda text, perms: json.dumps({"n": 5}),
+    "other order": lambda text, perms: _cache_text(4, perms),
+    "truncated": lambda text, perms: _cache_text(5, perms[:60]),
+    "duplicate": lambda text, perms: _cache_text(5, perms[:-1] + [perms[0]]),
+    "not a permutation": lambda text, perms: _cache_text(5, [[1, 1, 2, 3, 4]] + perms[1:]),
+    "wrong length": lambda text, perms: _cache_text(5, [p + [6] for p in perms]),
+    "float labels": lambda text, perms: _cache_text(5, _relabel_first(perms, float)),
+    "bool label": lambda text, perms: _cache_text(5, _relabel_first(perms, lambda x: True if x == 1 else x)),
+}
+
+
+@pytest.mark.parametrize("kind", list(BAD_CACHES))
+def test_bad_cache_file_is_rebuilt_and_replaced(tmp_path, kind):
+    cold = build_basis(5, cache_dir=None)
+    build_basis(5, cache_dir=str(tmp_path))
+    path = tmp_path / "pair_basis_n5.json"
+    good = path.read_text()
+    path.write_text(BAD_CACHES[kind](good, json.loads(good)["permutations"]))
+    assert build_basis(5, cache_dir=str(tmp_path)) == cold
+    assert path.read_text() == good
+
+
+def test_crossval_over_a_truncated_cache_has_no_false_negatives(tmp_path):
+    path = tmp_path / "pair_basis_n5.json"
+    path.write_text(_cache_text(5, [list(p) for p in build_basis(5)[:60]]))
+    assert crossval(5, cache_dir=str(tmp_path))["false_negative_count"] == 0
+
+
+def test_pinned_dimensions_are_the_recorded_pair_ranks():
+    path = Path(__file__).resolve().parent.parent / "results" / "dimensions.json"
+    rows = json.loads(path.read_text())["rows"]
+    assert [PAIR_SPAN_DIMENSIONS[row["n"]] for row in rows] == [
+        row["dim_pair_span"] for row in rows
+    ]
+    assert PAIR_SPAN_DIMENSIONS[1] == len(build_basis(1))
+    assert sorted(PAIR_SPAN_DIMENSIONS) == list(range(1, 9))

@@ -5,7 +5,8 @@ A misspelled or stale name in a branch that no other test reaches would
 otherwise surface only as a NameError in the field.  The check is static:
 each module's source is compiled (not run) and every code object in it is
 walked with ``dis``.  An import left behind by a deletion is found on the
-module's syntax tree.
+module's syntax tree, and so is an ``assert`` statement: ``python -O``
+strips those, so no check in the package may rely on one.
 """
 
 import ast
@@ -120,6 +121,33 @@ def test_check_reports_an_unused_import(tmp_path):
         "    return os.sep, sibling.name\n"
     )
     assert unused_imports(src) == ["sample: js", "sample: xml", "sample: Sequence"]
+
+
+def assert_statements(path: Path) -> list[str]:
+    """'module:line' per assert statement in the module."""
+    tree = ast.parse(path.read_text(), str(path))
+    return [f"{path.stem}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+
+
+def test_package_has_no_assert_statement():
+    paths = sorted(PACKAGE_DIR.glob("*.py"))
+    assert len(paths) >= 9
+    assert [msg for path in paths for msg in assert_statements(path)] == []
+
+
+def test_check_reports_an_assert_statement(tmp_path):
+    src = tmp_path / "sample.py"
+    src.write_text(
+        "def f(x):\n"
+        "    if x:\n"
+        "        assert x > 0, 'positive'\n"
+        "    return x  # assert in a comment\n"
+        "class C:\n"
+        "    def g(self):\n"
+        "        assert self\n"
+        "s = 'assert False'\n"
+    )
+    assert assert_statements(src) == ["sample:3", "sample:7"]
 
 
 def test_exports_match_the_package():
