@@ -16,10 +16,9 @@ pass over the enumeration finds every permutation's layer.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .gf2 import Gf2Basis, column_rank_profile
+from .gf2 import Gf2Basis, _set, _Value, column_rank_profile
 from .permvec import EdgeVector, PairVector, diagonal, pair_sum
 from .timegraph import (
     Permutation,
@@ -36,22 +35,34 @@ class InternalInconsistencyError(RuntimeError):
     """A proven identity failed; this signals an implementation bug."""
 
 
-@dataclass(frozen=True)
-class BasisElement:
-    layer: int
-    slot: int
-    perm: Permutation
+class BasisElement(_Value):
+    __slots__ = _fields = ("layer", "slot", "perm")
+
+    def __init__(self, layer: int, slot: int, perm: Permutation) -> None:
+        _set(self, "layer", layer)
+        _set(self, "slot", slot)
+        _set(self, "perm", perm)
 
 
-@dataclass(frozen=True)
-class CanonicalBasis:
+class CanonicalBasis(_Value):
     """Layered basis of the edge span."""
 
-    G: TimeGraph
-    order: tuple[int, ...]  # enumeration of the complement, as edge indices
-    layers: tuple[tuple[BasisElement, ...], ...]  # index 0..k
-    perm_seed: Optional[int]
-    coord_basis: Gf2Basis = field(compare=False, repr=False)
+    _fields = ("G", "order", "layers", "perm_seed")
+    __slots__ = (*_fields, "coord_basis")
+
+    def __init__(
+        self,
+        G: TimeGraph,
+        order: tuple[int, ...],  # enumeration of the complement, as edge indices
+        layers: tuple[tuple[BasisElement, ...], ...],  # index 0..k
+        perm_seed: Optional[int],
+        coord_basis: Gf2Basis,
+    ) -> None:
+        _set(self, "G", G)
+        _set(self, "order", order)
+        _set(self, "layers", layers)
+        _set(self, "perm_seed", perm_seed)
+        _set(self, "coord_basis", coord_basis)
 
     @property
     def k(self) -> int:
@@ -131,17 +142,24 @@ def build_canonical_basis(
     return CanonicalBasis(G, order, tuple(map(tuple, layers)), perm_seed, basis)
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(_Value):
     """g = gc + sum of selected basis pair indicators, gc a closed cycle.
 
     alpha lists the (layer, slot) positions with coefficient 1; layer_sums[i]
     is the xor of the selected layer-i edge vectors.
     """
 
-    alpha: tuple[tuple[int, int], ...]
-    gc: PairVector
-    layer_sums: tuple[EdgeVector, ...]
+    __slots__ = _fields = ("alpha", "gc", "layer_sums")
+
+    def __init__(
+        self,
+        alpha: tuple[tuple[int, int], ...],
+        gc: PairVector,
+        layer_sums: tuple[EdgeVector, ...],
+    ) -> None:
+        _set(self, "alpha", alpha)
+        _set(self, "gc", gc)
+        _set(self, "layer_sums", layer_sums)
 
 
 def decompose(g: PairVector, cb: CanonicalBasis) -> Decomposition:

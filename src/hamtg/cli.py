@@ -6,9 +6,9 @@ no, `crossval` exits 1 when the decider gave a false negative (an
 implementation bug), everything else exits 0 on success.  An input file
 that cannot be read or parsed, or an order beyond a scale cap, exits 2,
 as argparse's usage errors do, with one JSON line {"error": <exception
-class>, "message": ...} on stderr and nothing on stdout.  The basis cache
-directory comes from --cache-dir or the HAMTG_CACHE_DIR environment
-variable.
+class>, "message": ...} on stderr and nothing on stdout.  An order or
+count below 1 is a usage error.  The basis cache directory comes from
+--cache-dir or the HAMTG_CACHE_DIR environment variable.
 """
 
 from __future__ import annotations
@@ -28,6 +28,14 @@ EXIT_INPUT = 2
 
 class _InputFileError(Exception):
     """An input file could not be read or parsed; the cause is the error raised."""
+
+
+def _positive_int(text: str) -> int:
+    """argparse type of an order or count; below 1 is a usage error."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
 
 
 def _emit(obj, out: Optional[str]) -> None:
@@ -168,14 +176,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("basis", help="pair-indicator basis for an order")
-    p.add_argument("--order", type=int, required=True)
+    p.add_argument("--order", type=_positive_int, required=True)
     p.add_argument("--cache-dir", default=None)
     p.add_argument("--cap", type=int, default=None)
     p.add_argument("--out")
     p.set_defaults(func=cmd_basis)
 
     p = sub.add_parser("dim", help="dimension table of the indicator spans")
-    p.add_argument("--max", type=int, required=True)
+    p.add_argument("--max", type=_positive_int, required=True)
     p.add_argument("--pair-max", type=int, default=6)
     p.add_argument("--cache-dir", default=None)
     p.add_argument("--out")
@@ -190,17 +198,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("conjectures", help="randomized conjecture campaign (JSON lines)")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--trials", type=int, required=True)
+    p.add_argument("--n", type=_positive_int, required=True)
+    p.add_argument("--trials", type=_positive_int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--orders", type=int, default=1, help="complement enumerations per instance")
+    p.add_argument("--orders", type=_positive_int, default=1, help="complement enumerations per instance")
     p.add_argument("--basis-seed", type=int, default=None)
     p.add_argument("--cache-dir", default=None)
     p.add_argument("--out")
     p.set_defaults(func=cmd_conjectures)
 
     p = sub.add_parser("crossval", help="oracle vs. decision procedure over graph families")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--random", type=int, metavar="COUNT", help="sample COUNT random graphs")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--cache-dir", default=None)

@@ -11,8 +11,6 @@ system.  All results are bit-exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Iterable, Optional, Protocol, Sequence
 
 
@@ -40,18 +38,63 @@ def bit_indices(x: int) -> list[int]:
     return out
 
 
-@dataclass(frozen=True)
-class BitVec:
+# sets a field of a _Value in its __init__
+_set = object.__setattr__
+
+
+class _Value:
+    """Base of the package's immutable value types.
+
+    A subclass keeps its fields in ``__slots__`` and sets each once, in
+    ``__init__``, with ``_set``.  ``_fields`` names the compared ones, in
+    order: a value equals one of the same type whose compared fields are
+    equal, hashes as their tuple and shows them in its repr.  Other slots
+    are hidden state.  Assigning or deleting any attribute raises
+    AttributeError.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, f) for f in self._fields])
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __setstate__(self, state: tuple) -> None:
+        # copy and pickle restore the slots, as (None, {name: value}), here
+        for name, value in state[1].items():
+            _set(self, name, value)
+
+
+class BitVec(_Value):
     """Fixed-length bit vector; bits at or beyond ``length`` are always zero."""
 
-    length: int
-    bits: int = 0
+    __slots__ = _fields = ("length", "bits")
 
-    def __post_init__(self) -> None:
-        if self.length < 0:
-            raise ValueError(f"negative length {self.length}")
-        if self.bits < 0 or self.bits >> self.length:
+    def __init__(self, length: int, bits: int = 0) -> None:
+        if length < 0:
+            raise ValueError(f"negative length {length}")
+        if bits < 0 or bits >> length:
             raise ValueError("set bits beyond declared length")
+        _set(self, "length", length)
+        _set(self, "bits", bits)
 
     @classmethod
     def from_indices(cls, length: int, indices: Iterable[int]) -> "BitVec":
@@ -77,11 +120,13 @@ class BitVec:
         return BitVec(self.length, self.bits ^ other.bits)
 
 
-@dataclass(frozen=True)
-class InsertResult:
+class InsertResult(_Value):
     """Outcome of a basis insertion: whether the vector extended the span."""
 
-    extended: bool
+    __slots__ = _fields = ("extended",)
+
+    def __init__(self, extended: bool) -> None:
+        _set(self, "extended", extended)
 
 
 _EXTENDED = InsertResult(True)
@@ -193,22 +238,35 @@ def column_rank_profile(cols: Iterable[int], nrows: int) -> list[int]:
     return sorted(low.bit_length() - 1 for low in pivots)
 
 
-@dataclass(frozen=True)
-class LinearSolveResult:
+class LinearSolveResult(_Value):
     """Raw elimination outcome over int-encoded equation rows."""
 
-    consistent: bool
-    x: Optional[int]  # particular solution (free variables zero); None when inconsistent
-    rank: int  # coefficient-matrix rank of the rows processed
-    # the augmented echelon of a consistent system, pivot -> row with the
-    # rhs at bit position nvars
-    _pivots: Optional[dict[int, int]] = field(default=None, repr=False, compare=False)
-    _nvars: int = field(default=0, repr=False, compare=False)
+    _fields = ("consistent", "x", "rank")
+    __slots__ = (*_fields, "_pivots", "_nvars", "_null")
 
-    @cached_property
+    def __init__(
+        self,
+        consistent: bool,
+        x: Optional[int],  # particular solution (free variables zero); None when inconsistent
+        rank: int,  # coefficient-matrix rank of the rows processed
+        # the augmented echelon of a consistent system, pivot -> row with
+        # the rhs at bit position nvars
+        _pivots: Optional[dict[int, int]] = None,
+        _nvars: int = 0,
+    ) -> None:
+        _set(self, "consistent", consistent)
+        _set(self, "x", x)
+        _set(self, "rank", rank)
+        _set(self, "_pivots", _pivots)
+        _set(self, "_nvars", _nvars)
+        _set(self, "_null", None)
+
+    @property
     def nullspace(self) -> tuple[int, ...]:
         """Basis of the homogeneous solutions, one vector per free variable, ascending."""
-        return self.nullspace_without(0)
+        if self._null is None:
+            _set(self, "_null", self.nullspace_without(0))
+        return self._null
 
     def nullspace_without(self, skip: int) -> tuple[int, ...]:
         """The nullspace vectors of the free variables outside the mask skip,

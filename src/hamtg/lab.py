@@ -19,7 +19,6 @@ import functools
 import itertools
 import json
 import random
-from dataclasses import dataclass
 from typing import IO, Iterable, Optional, Sequence
 
 from .canonical import (
@@ -31,7 +30,7 @@ from .canonical import (
     decompose,
     tail_sum_check,
 )
-from .gf2 import Gf2Basis, bit_indices, column_rank_profile, solve_system
+from .gf2 import Gf2Basis, _set, _Value, bit_indices, column_rank_profile, solve_system
 from .liftbasis import build_basis
 from .permvec import (
     PairVector,
@@ -117,16 +116,31 @@ def supported_image_span(
 # ---------------------------------------------------------------------------
 # conjecture checks
 
-@dataclass
-class ConjectureReport:
-    instance_id: str
-    n: int
-    graph_edges: tuple[int, ...]
-    complement_order: tuple[int, ...]
-    basis_seed: Optional[int]
-    conjecture: int
-    verdict: str  # "holds" | "violated" | "vacuous"
-    witness: dict
+class ConjectureReport(_Value):
+    __slots__ = _fields = (
+        "instance_id", "n", "graph_edges", "complement_order", "basis_seed",
+        "conjecture", "verdict", "witness",
+    )
+
+    def __init__(
+        self,
+        instance_id: str,
+        n: int,
+        graph_edges: tuple[int, ...],
+        complement_order: tuple[int, ...],
+        basis_seed: Optional[int],
+        conjecture: int,
+        verdict: str,  # "holds" | "violated" | "vacuous"
+        witness: dict,
+    ) -> None:
+        _set(self, "instance_id", instance_id)
+        _set(self, "n", n)
+        _set(self, "graph_edges", graph_edges)
+        _set(self, "complement_order", complement_order)
+        _set(self, "basis_seed", basis_seed)
+        _set(self, "conjecture", conjecture)
+        _set(self, "verdict", verdict)
+        _set(self, "witness", witness)
 
     def to_dict(self) -> dict:
         return {

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import os
-import uuid
 from pathlib import Path
 from typing import Optional
 
@@ -150,7 +149,7 @@ def build_basis(
         payload = {"n": n, "permutations": [list(p) for p in result]}
         # a temp file of its own per writer, so overlapping writers never
         # publish or remove each other's file
-        tmp = path.with_suffix(f".{uuid.uuid4().hex}.tmp")
+        tmp = path.with_suffix(f".{os.urandom(16).hex()}.tmp")
         tmp.write_text(json.dumps(payload, sort_keys=True) + "\n")
         tmp.replace(path)
     return result

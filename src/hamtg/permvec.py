@@ -8,11 +8,10 @@ is a contiguous slice.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Mapping, Union
 
-from .gf2 import bit_indices
+from .gf2 import _set, _Value, bit_indices
 from .timegraph import (
     Edge,
     Permutation,
@@ -24,22 +23,22 @@ from .timegraph import (
 )
 
 
-@dataclass(frozen=True)
-class _Indicator:
+class _Indicator(_Value):
     """Order n plus an int bitmask; subclasses fix its ``length`` from n.
 
     Xor is addition; vectors of different kinds or orders do not add.
     """
 
-    n: int
-    bits: int = 0
+    __slots__ = _fields = ("n", "bits")
 
-    def __post_init__(self) -> None:
-        if self.bits < 0 or self.bits >> self.length:
+    def __init__(self, n: int, bits: int = 0) -> None:
+        _set(self, "n", n)
+        if bits < 0 or bits >> self.length:
             raise ValueError(
-                f"{type(self).__name__} of order {self.n} has set bits "
+                f"{type(self).__name__} of order {n} has set bits "
                 f"beyond its length {self.length}"
             )
+        _set(self, "bits", bits)
 
     @classmethod
     def zero(cls, n: int) -> "_Indicator":
@@ -54,9 +53,10 @@ class _Indicator:
         return type(self)(self.n, self.bits ^ other.bits)
 
 
-@dataclass(frozen=True)
 class EdgeVector(_Indicator):
     """An element of B^{E(n)}: bit edge_index(e) is the value at e."""
+
+    __slots__ = ()
 
     @property
     def length(self) -> int:
@@ -66,13 +66,14 @@ class EdgeVector(_Indicator):
         return (self.bits >> edge_index(e, self.n)) & 1
 
 
-@dataclass(frozen=True)
 class PairVector(_Indicator):
     """An element of B^{E(n) x E(n)}, row-major.
 
     Bit edge_index(e) * L + edge_index(e') is the value at (e, e'), with
     L = n^2(n-1).
     """
+
+    __slots__ = ()
 
     @property
     def length(self) -> int:

@@ -11,12 +11,11 @@ is surfaced as a counterexample candidate rather than an error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Optional, Sequence
 
 from .canonical import InternalInconsistencyError
-from .gf2 import bit_indices, column_rank_profile, solve_system
+from .gf2 import _set, _Value, bit_indices, column_rank_profile, solve_system
 from .liftbasis import build_basis
 from .timegraph import (
     Graph,
@@ -29,8 +28,7 @@ from .timegraph import (
 )
 
 
-@dataclass(frozen=True)
-class LinearSystem:
+class LinearSystem(_Value):
     """The feasibility system of one time-graph over one basis, contracted.
 
     Every pair row with one or two basis permutations says alpha_a = 0 or
@@ -43,18 +41,31 @@ class LinearSystem:
     the same particular solution and the same nullspace.
     """
 
-    n: int
-    nvars: int
-    # coefficient masks over the basis: the wide pair rows with rhs 0 (each
-    # on roots only; zero rows and duplicates dropped), then the value row,
-    # rhs 1, with a one on every root of an odd-sized component
-    rows: tuple[int, ...]
-    raw_rows: int  # constraints of the full system before pruning
-    contracted: int  # mask of the variables that are not roots
-    # root -> mask of its component, for the roots with other members
-    _members: dict[int, int] = field(repr=False, compare=False)
-    # the basis tables the rows were read from, for the witness check
-    _tables: _BasisTables = field(repr=False, compare=False)
+    _fields = ("n", "nvars", "rows", "raw_rows", "contracted")
+    __slots__ = (*_fields, "_members", "_tables")
+
+    def __init__(
+        self,
+        n: int,
+        nvars: int,
+        # coefficient masks over the basis: the wide pair rows with rhs 0
+        # (each on roots only; zero rows and duplicates dropped), then the
+        # value row, rhs 1, with a one on every root of an odd-sized component
+        rows: tuple[int, ...],
+        raw_rows: int,  # constraints of the full system before pruning
+        contracted: int,  # mask of the variables that are not roots
+        # root -> mask of its component, for the roots with other members
+        _members: dict[int, int],
+        # the basis tables the rows were read from, for the witness check
+        _tables: _BasisTables,
+    ) -> None:
+        _set(self, "n", n)
+        _set(self, "nvars", nvars)
+        _set(self, "rows", rows)
+        _set(self, "raw_rows", raw_rows)
+        _set(self, "contracted", contracted)
+        _set(self, "_members", _members)
+        _set(self, "_tables", _tables)
 
     def lift(self, x: int) -> int:
         """A solution over the roots as one over every variable: each set
@@ -65,14 +76,24 @@ class LinearSystem:
         return x
 
 
-@dataclass(frozen=True)
-class Decision:
-    answer: bool
-    witness: Optional[tuple[int, ...]]  # basis indices with coefficient 1
-    nvars: int
-    rows: int  # rows of the contracted system, as LinearSystem.rows
-    raw_rows: int
-    rank: int  # coefficient rank of the full system
+class Decision(_Value):
+    __slots__ = _fields = ("answer", "witness", "nvars", "rows", "raw_rows", "rank")
+
+    def __init__(
+        self,
+        answer: bool,
+        witness: Optional[tuple[int, ...]],  # basis indices with coefficient 1
+        nvars: int,
+        rows: int,  # rows of the contracted system, as LinearSystem.rows
+        raw_rows: int,
+        rank: int,  # coefficient rank of the full system
+    ) -> None:
+        _set(self, "answer", answer)
+        _set(self, "witness", witness)
+        _set(self, "nvars", nvars)
+        _set(self, "rows", rows)
+        _set(self, "raw_rows", raw_rows)
+        _set(self, "rank", rank)
 
 
 def incidence_columns(n: int, basis_perms: Sequence[Permutation]) -> list[int]:
@@ -88,8 +109,7 @@ def incidence_columns(n: int, basis_perms: Sequence[Permutation]) -> list[int]:
     return cols
 
 
-# What every decision over one basis shares, built once per basis (a plain
-# tuple: a dataclass here would cost a millisecond of import time):
+# What every decision over one basis shares, built once per basis:
 # - cols, the incidence_columns;
 # - masks, per basis permutation, its incident edge mask;
 # - live, the mask of the edges with a nonzero column (no self-loop is

@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
 from typing import Iterable, Iterator, NamedTuple
 
-from .gf2 import bit_indices
+from .gf2 import _set, _Value, bit_indices
 
 ORACLE_PERM_CAP = 8  # n! enumeration guard
 ORACLE_PATH_CAP = 10  # backtracking-search guard
@@ -57,18 +56,18 @@ def edge_from_index(idx: int, n: int) -> Edge:
     return Edge(i + 1, j + 1, t + 1)
 
 
-@dataclass(frozen=True)
-class TimeGraph:
+class TimeGraph(_Value):
     """A subgraph of the complete time-graph: order n plus an edge bitmask."""
 
-    n: int
-    edges: int = 0
+    __slots__ = _fields = ("n", "edges")
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"order must be positive, got {self.n}")
-        if self.edges < 0 or self.edges >> edge_space_size(self.n):
+    def __init__(self, n: int, edges: int = 0) -> None:
+        if n < 1:
+            raise ValueError(f"order must be positive, got {n}")
+        if edges < 0 or edges >> edge_space_size(n):
             raise ValueError("edge bits out of range for order")
+        _set(self, "n", n)
+        _set(self, "edges", edges)
 
     @classmethod
     def empty(cls, n: int) -> "TimeGraph":
@@ -122,21 +121,21 @@ class TimeGraph:
         return cls.from_indices(n, (int(ln) for ln in rows[1:]))
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(_Value):
     """Simple undirected graph on vertices 1..n, no self-loops."""
 
-    n: int
-    pairs: frozenset[tuple[int, int]] = field(default_factory=frozenset)
+    __slots__ = _fields = ("n", "pairs")
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"vertex count must be positive, got {self.n}")
-        for a, b in self.pairs:
+    def __init__(self, n: int, pairs: frozenset[tuple[int, int]] = frozenset()) -> None:
+        if n < 1:
+            raise ValueError(f"vertex count must be positive, got {n}")
+        for a, b in pairs:
             if a == b:
                 raise ValueError("self-loops are not allowed")
-            if not (1 <= a < b <= self.n):
+            if not (1 <= a < b <= n):
                 raise ValueError(f"edge ({a}, {b}) out of range or unordered")
+        _set(self, "n", n)
+        _set(self, "pairs", pairs)
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":

@@ -227,6 +227,28 @@ def test_order_beyond_the_cap_exits_with_input_error(capsys, graph_file):
     assert error == {"error": "OracleScaleError", "message": "oracle scale exceeded: n=9 > cap=8"}
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["basis", "--order", "0"],
+        ["dim", "--max", "0"],
+        ["crossval", "--n", "0"],
+        ["crossval", "--n", "-3"],
+        ["conjectures", "--trials", "1", "--n", "0"],
+        ["conjectures", "--n", "4", "--trials", "-1"],
+        ["conjectures", "--n", "4", "--trials", "0"],
+        ["conjectures", "--n", "4", "--trials", "1", "--orders", "0"],
+    ],
+)
+def test_order_or_count_below_one_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {argv[-2]}: must be a positive integer, got {int(argv[-1])}" in captured.err
+
+
 def test_internal_inconsistency_is_not_an_input_error(monkeypatch, graph_file):
     def broken(*args, **kwargs):
         raise hamtg.InternalInconsistencyError("witness has even parity")
