@@ -209,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("crossval", help="oracle vs. decision procedure over graph families")
     p.add_argument("--n", type=_positive_int, required=True)
-    p.add_argument("--random", type=int, metavar="COUNT", help="sample COUNT random graphs")
+    p.add_argument("--random", type=_positive_int, metavar="COUNT", help="sample COUNT random graphs")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--cache-dir", default=None)
     p.add_argument("--out")

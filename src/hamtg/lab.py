@@ -94,17 +94,6 @@ def _image_span(
     return span
 
 
-def supported_subspace(
-    G: TimeGraph, basis_perms: Sequence[Permutation]
-) -> list[PairVector]:
-    """Basis of the pair-span elements supported in G."""
-    masks = [incident_mask(p) for p in basis_perms]
-    return [
-        pair_sum(G.n, [masks[k] for k in bit_indices(coeffs)])
-        for coeffs in supported_coefficient_space(G, basis_perms)
-    ]
-
-
 def supported_image_span(
     G: TimeGraph, basis_perms: Sequence[Permutation]
 ) -> Gf2Basis:

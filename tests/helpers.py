@@ -8,7 +8,8 @@ from typing import Mapping
 import numpy as np
 
 from hamtg.gf2 import Gf2Basis, bit_indices
-from hamtg.permvec import PairVector, support_mask
+from hamtg.lab import supported_coefficient_space
+from hamtg.permvec import PairVector, pair_sum, support_mask
 from hamtg.timegraph import (
     Edge,
     Graph,
@@ -113,6 +114,16 @@ def assemble_rows_reference(G: TimeGraph, perms) -> list[int]:
                 seen.add(m)
                 rows.append(m)
     return rows
+
+
+def supported_subspace(G: TimeGraph, basis_perms) -> list[PairVector]:
+    """Basis of the pair-span elements supported in G: the pair sums of
+    supported_coefficient_space's coefficient vectors."""
+    masks = [incident_mask(p) for p in basis_perms]
+    return [
+        pair_sum(G.n, [masks[k] for k in bit_indices(coeffs)])
+        for coeffs in supported_coefficient_space(G, basis_perms)
+    ]
 
 
 def canonical_layers_reference(G: TimeGraph, order, perm_seed, vector) -> list:

@@ -234,6 +234,8 @@ def test_order_beyond_the_cap_exits_with_input_error(capsys, graph_file):
         ["dim", "--max", "0"],
         ["crossval", "--n", "0"],
         ["crossval", "--n", "-3"],
+        ["crossval", "--n", "4", "--random", "0"],
+        ["crossval", "--n", "4", "--random", "-1"],
         ["conjectures", "--trials", "1", "--n", "0"],
         ["conjectures", "--n", "4", "--trials", "-1"],
         ["conjectures", "--n", "4", "--trials", "0"],

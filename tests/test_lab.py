@@ -19,7 +19,6 @@ from hamtg.lab import (
     replay_report,
     run_campaign,
     supported_image_span,
-    supported_subspace,
 )
 from hamtg.liftbasis import build_basis
 from hamtg.permvec import (
@@ -38,6 +37,8 @@ from hamtg.timegraph import (
     is_hamiltonian_oracle,
     reduce_hamp,
 )
+
+from helpers import supported_subspace
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,13 @@ from hamtg.timegraph import (
     reduce_hamp,
 )
 
-from helpers import assemble_rows_reference, path_graph, prefix_rank_profile, star_graph
+from helpers import (
+    assemble_rows_reference,
+    path_graph,
+    prefix_rank_profile,
+    rank_oracle,
+    star_graph,
+)
 
 
 def all_graphs(n):
@@ -271,11 +277,16 @@ def test_assembly_matches_reference_on_reversed_and_list_bases(T):
 
 def test_assembly_matches_full_loop_reference_at_order_6():
     # below order 6 the pair indicators are independent and every set root
-    # of a solution stands alone, so only here do the lifts add members
+    # of a solution stands alone, so only here do the lifts add members;
+    # HAMP reductions as crossval decides them, and uniform random
+    # time-graphs as the campaign samples them
     perms = build_basis(6)
+    rng = random.Random(6)
+    graphs = [reduce_hamp(g) for g in lab._random_graphs(6, 12, 1)]
+    graphs += [lab.random_time_graph(6, rng) for _ in range(8)]
     lifted = 0
-    for g in lab._random_graphs(6, 12, 1):
-        system = _check_against_reference(reduce_hamp(g), perms)
+    for T in graphs:
+        system = _check_against_reference(T, perms)
         hom = system.rows[:-1]
         for v in solve_system(hom, (0,) * len(hom), len(perms)).nullspace:
             lifted += system.lift(v) != v
@@ -283,14 +294,15 @@ def test_assembly_matches_full_loop_reference_at_order_6():
 
 
 def test_pruned_rows_drop_dependent_rows():
-    # the star on 5 vertices: the full loop's 313 rows become 116
-    # contracted variables and 5 rows (4 wide pair rows and the value row)
+    # the star on 5 vertices: the full loop's 313 rows force every one of
+    # the 120 variables to zero, so only the value row is left, and it is
+    # empty: 0 = 1 at once
     perms = build_basis(5)
     T = reduce_hamp(star_graph(4))
     system = _check_against_reference(T, perms)
     assert len(assemble_rows_reference(T, perms)) == 313
-    assert system.contracted.bit_count() == 116
-    assert len(system.rows) == 5
+    assert system.contracted.bit_count() == 120
+    assert system.rows == (0,)
 
 
 def test_columns_follow_the_basis_order():
@@ -310,13 +322,16 @@ def test_columns_follow_the_basis_order():
 
 
 def test_partners_are_each_blocks_rank_profile():
-    # the units, links and wide rows of an edge e, read off the incident
-    # masks, are together the rank profile of e's block of pair rows
-    # cols[e] & cols[f] in ascending f, each kind ascending and split by
-    # its number of permutations; live marks exactly the edges with a
-    # nonzero column
+    # an edge e's folded block, read off the incident masks, rebuilds
+    # exactly the rank profile of e's block of pair rows cols[e] & cols[f]
+    # in ascending f: the wide rows are its rows of three or more
+    # permutations, and the zero mask (each permutation alone) with the
+    # equal masks (each member beside the mask's lowest) are as many
+    # independent rows as its rows of one or two permutations, and span the
+    # same space; live marks exactly the edges with a nonzero column
     for n in (3, 4, 5):
         for perms in (build_basis(n), build_basis(n)[::-1]):
+            nvars = len(perms)
             tables = solver._basis_tables(n, tuple(perms))
             cols, _, live, _ = tables
             assert live == sum(1 << e for e, ce in enumerate(cols) if ce)
@@ -325,20 +340,24 @@ def test_partners_are_each_blocks_rank_profile():
                 for e in range(edge_space_size(n))
             ]
             for e, ce in enumerate(cols):
-                units, links, wide = solver._block(tables, e)
-                kinds = (
-                    [(f, (a,)) for f, a in units],
-                    [(f, (a, b)) for f, a, b in links],
-                    list(wide),
-                )
-                for kind in kinds:
-                    assert [f for f, _ in kind] == sorted(f for f, _ in kind)
-                assert all(a < b for _, (a, b) in kinds[1])
-                assert all(len(vs) >= 3 and list(vs) == sorted(vs) for _, vs in kinds[2])
-                rows = {f: sum(1 << v for v in vs) for kind in kinds for f, vs in kind}
-                assert len(rows) == sum(map(len, kinds))
-                assert all(rows[f] == ce & cols[f] for f in rows)
-                assert sorted(rows) == prefix_rank_profile([ce & c for c in cols], len(perms))
+                zero, equal, wide = solver._block(tables, e)
+                block = [ce & c for c in cols]
+                profile = prefix_rank_profile(block, nvars)
+                assert [f for f, _ in wide] == [f for f in profile if block[f].bit_count() > 2]
+                assert all(block[f] == sum(1 << v for v in vs) for f, vs in wide)
+                assert all(list(vs) == sorted(vs) for _, vs in wide)
+                # disjoint masks of two or more, off the zero mask, inside ce
+                seen = zero
+                for m in equal:
+                    assert m.bit_count() >= 2 and not m & seen
+                    seen |= m
+                assert not seen & ~ce
+                small = [block[f] for f in profile if block[f].bit_count() <= 2]
+                folded = [1 << v for v in bit_indices(zero)] + [
+                    m & -m | 1 << v for m in equal for v in bit_indices(m)[1:]
+                ]
+                assert len(folded) == len(small) == rank_oracle(folded, nvars)
+                assert rank_oracle(small + folded, nvars) == len(small)
                 assert solver._block(tables, e) is tables[-1][e]
 
 
@@ -351,22 +370,25 @@ def test_list_basis_decides_like_tuple_basis():
 
 
 def test_corrupted_partner_table_never_gives_an_unchecked_yes(monkeypatch):
-    # with every edge's units, links and wide rows each cut to their first
-    # the system loses constraints; the witness check reads G, not the
-    # rows, so a wrong yes must surface as an InternalInconsistencyError
+    # with every edge's zero mask cut to its lowest permutation and its
+    # equal masks and wide rows each cut to their first the system loses
+    # constraints; the witness check reads G, not the rows, so a wrong yes
+    # must surface as an InternalInconsistencyError
     perms = build_basis(4)
     honest = {g: decide_time_graph(reduce_hamp(g), perms) for g in all_graphs(4)}
     real = solver._basis_tables
 
     def truncated(n, basis_perms):
         tables = real(n, basis_perms)
-        blocks = [
-            tuple(kind[:1] for kind in solver._block(tables, e))
-            for e in range(len(tables[0]))
-        ]
+        blocks = []
+        for e in range(len(tables[0])):
+            zero, equal, wide = solver._block(tables, e)
+            blocks.append((zero & -zero, equal[:1], wide[:1]))
         return (*tables[:-1], blocks)
 
     monkeypatch.setattr(solver, "_basis_tables", truncated)
+    # the memo still holds the honest tables of perms
+    monkeypatch.setattr(solver, "_last", None)
     caught = []
     for g, expected in honest.items():
         try:
@@ -394,3 +416,33 @@ def test_a_yes_decision_looks_up_the_basis_tables_once(monkeypatch):
     decision = decide_time_graph(T, perms)
     assert decision.answer
     assert calls == [5]
+
+
+def test_tables_memo_follows_a_list_basis_mutated_in_place(monkeypatch):
+    # a tuple basis seen last time skips the table lookup; a list basis
+    # always takes it, so permutations rewritten in place are read afresh
+    perms = build_basis(4)
+    T = reduce_hamp(path_graph(4))
+    real = solver._basis_tables
+    calls = []
+
+    def counted(n, basis_perms):
+        calls.append(basis_perms)
+        return real(n, basis_perms)
+
+    monkeypatch.setattr(solver, "_basis_tables", counted)
+    monkeypatch.setattr(solver, "_last", None)
+    as_tuples = tuple(perms)
+    first = decide_time_graph(T, as_tuples)
+    assert decide_time_graph(T, as_tuples) == first
+    assert len(calls) == 1
+    as_lists = [list(p) for p in perms]
+    assert decide_time_graph(T, as_lists) == first
+    # the same lists, now holding the basis rotated by one
+    rotated = perms[1:] + perms[:1]
+    for p, q in zip(as_lists, rotated):
+        p[:] = q
+    moved = decide_time_graph(T, as_lists)
+    assert moved == decide_time_graph(T, rotated)
+    assert moved.witness != first.witness
+    assert calls[-1] == tuple(rotated)
