@@ -18,10 +18,9 @@ from __future__ import annotations
 import random
 from typing import Optional, Sequence
 
-from .gf2 import Gf2Basis, _set, _Value, column_rank_profile
+from .gf2 import Gf2Basis, _Value, column_rank_profile
 from .permvec import EdgeVector, PairVector, diagonal, pair_sum
 from .timegraph import (
-    Permutation,
     TimeGraph,
     check_perm_cap,
     edge_space_size,
@@ -36,33 +35,20 @@ class InternalInconsistencyError(RuntimeError):
 
 
 class BasisElement(_Value):
-    __slots__ = _fields = ("layer", "slot", "perm")
+    """The permutation perm, kept as element slot of layer layer."""
 
-    def __init__(self, layer: int, slot: int, perm: Permutation) -> None:
-        _set(self, "layer", layer)
-        _set(self, "slot", slot)
-        _set(self, "perm", perm)
+    __slots__ = _fields = ("layer", "slot", "perm")
 
 
 class CanonicalBasis(_Value):
-    """Layered basis of the edge span."""
+    """Layered basis of the edge span.
+
+    order is the enumeration of the complement, as edge indices, and
+    layers holds layers 0..k of the elements.
+    """
 
     _fields = ("G", "order", "layers", "perm_seed")
     __slots__ = (*_fields, "coord_basis")
-
-    def __init__(
-        self,
-        G: TimeGraph,
-        order: tuple[int, ...],  # enumeration of the complement, as edge indices
-        layers: tuple[tuple[BasisElement, ...], ...],  # index 0..k
-        perm_seed: Optional[int],
-        coord_basis: Gf2Basis,
-    ) -> None:
-        _set(self, "G", G)
-        _set(self, "order", order)
-        _set(self, "layers", layers)
-        _set(self, "perm_seed", perm_seed)
-        _set(self, "coord_basis", coord_basis)
 
     @property
     def k(self) -> int:
@@ -150,16 +136,6 @@ class Decomposition(_Value):
     """
 
     __slots__ = _fields = ("alpha", "gc", "layer_sums")
-
-    def __init__(
-        self,
-        alpha: tuple[tuple[int, int], ...],
-        gc: PairVector,
-        layer_sums: tuple[EdgeVector, ...],
-    ) -> None:
-        _set(self, "alpha", alpha)
-        _set(self, "gc", gc)
-        _set(self, "layer_sums", layer_sums)
 
 
 def decompose(g: PairVector, cb: CanonicalBasis) -> Decomposition:

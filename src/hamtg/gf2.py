@@ -46,15 +46,30 @@ class _Value:
     """Base of the package's immutable value types.
 
     A subclass keeps its fields in ``__slots__`` and sets each once, in
-    ``__init__``, with ``_set``.  ``_fields`` names the compared ones, in
-    order: a value equals one of the same type whose compared fields are
-    equal, hashes as their tuple and shows them in its repr.  Other slots
-    are hidden state.  Assigning or deleting any attribute raises
-    AttributeError.
+    ``__init__``, with ``_set``.  A subclass that inherits no ``__init__``
+    is given one that takes the slots in order, by position or keyword, and
+    sets each; a type that checks or defaults its values writes its own.
+    ``_fields`` names the compared ones, in order: a value equals one of
+    the same type whose compared fields are equal, hashes as their tuple
+    and shows them in its repr.  Other slots are hidden state.  Assigning
+    or deleting any attribute raises AttributeError.
     """
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        if cls.__init__ is not object.__init__:
+            return
+        # written out and compiled once per class, as namedtuple writes its
+        # __new__, so construction runs one _set call per slot and no loop
+        slots = cls.__slots__
+        body = "; ".join(f"_set(self, {f!r}, {f})" for f in slots)
+        namespace = {"_set": _set}
+        exec(f"def __init__(self, {', '.join(slots)}): {body}", namespace)
+        init = namespace["__init__"]
+        init.__qualname__ = f"{cls.__qualname__}.__init__"
+        cls.__init__ = init
 
     def _key(self) -> tuple:
         return tuple([getattr(self, f) for f in self._fields])
@@ -124,9 +139,6 @@ class InsertResult(_Value):
     """Outcome of a basis insertion: whether the vector extended the span."""
 
     __slots__ = _fields = ("extended",)
-
-    def __init__(self, extended: bool) -> None:
-        _set(self, "extended", extended)
 
 
 _EXTENDED = InsertResult(True)

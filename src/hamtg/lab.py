@@ -30,7 +30,7 @@ from .canonical import (
     decompose,
     tail_sum_check,
 )
-from .gf2 import Gf2Basis, _set, _Value, bit_indices, column_rank_profile, solve_system
+from .gf2 import Gf2Basis, _Value, bit_indices, column_rank_profile, solve_system
 from .liftbasis import build_basis
 from .permvec import (
     PairVector,
@@ -106,30 +106,13 @@ def supported_image_span(
 # conjecture checks
 
 class ConjectureReport(_Value):
+    """One conjecture's verdict on one instance: "holds", "violated" or
+    "vacuous"."""
+
     __slots__ = _fields = (
         "instance_id", "n", "graph_edges", "complement_order", "basis_seed",
         "conjecture", "verdict", "witness",
     )
-
-    def __init__(
-        self,
-        instance_id: str,
-        n: int,
-        graph_edges: tuple[int, ...],
-        complement_order: tuple[int, ...],
-        basis_seed: Optional[int],
-        conjecture: int,
-        verdict: str,  # "holds" | "violated" | "vacuous"
-        witness: dict,
-    ) -> None:
-        _set(self, "instance_id", instance_id)
-        _set(self, "n", n)
-        _set(self, "graph_edges", graph_edges)
-        _set(self, "complement_order", complement_order)
-        _set(self, "basis_seed", basis_seed)
-        _set(self, "conjecture", conjecture)
-        _set(self, "verdict", verdict)
-        _set(self, "witness", witness)
 
     def to_dict(self) -> dict:
         return {
@@ -279,7 +262,8 @@ def replay_report(data: dict, cache_dir: Optional[str] = None) -> bool:
     if data["conjecture"] == 1:
         rep = check_conjecture1(cb, g, instance_id=data["id"])
     else:
-        image_span = supported_image_span(G, build_basis(n, cache_dir=cache_dir))
+        # cap=n: build_canonical_basis above already enforced the n! cap
+        image_span = supported_image_span(G, build_basis(n, cache_dir=cache_dir, cap=n))
         rep = check_conjecture2(cb, g, image_span, instance_id=data["id"])
     return rep.verdict == data["verdict"]
 
@@ -464,8 +448,9 @@ def crossval(
     counterexample candidates and are exported with replayable witnesses
     plus the per-instance implication audit.
     """
-    basis_perms = build_basis(n, cache_dir=cache_dir)
     if exhaustive:
+        if random_count is not None:
+            raise ValueError("random_count given with exhaustive")
         graphs: Iterable[Graph] = _all_graphs(n)
         source = {"kind": "exhaustive"}
     else:
@@ -473,6 +458,7 @@ def crossval(
             raise ValueError("random_count required when not exhaustive")
         graphs = _random_graphs(n, random_count, seed)
         source = {"kind": "random", "count": random_count, "seed": seed}
+    basis_perms = build_basis(n, cache_dir=cache_dir)
     agree_yes = agree_no = 0
     false_negatives: list[dict] = []
     false_positives: list[dict] = []

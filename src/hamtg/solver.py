@@ -15,7 +15,7 @@ from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
 from .canonical import InternalInconsistencyError
-from .gf2 import _set, _Value, bit_indices, column_rank_profile, solve_system
+from .gf2 import _Value, bit_indices, column_rank_profile, solve_system
 from .liftbasis import build_basis
 from .timegraph import (
     Graph,
@@ -39,33 +39,19 @@ class LinearSystem(_Value):
     so a solution over the roots lifts to one of the full system: with the
     contracted variables as pivots, the full system has the same solutions,
     the same particular solution and the same nullspace.
+
+    rows holds coefficient masks over the basis: the wide pair rows with
+    rhs 0 (each on roots only; zero rows and duplicates dropped), then the
+    value row, rhs 1, with a one on every root of an odd-sized component.
+    raw_rows counts the constraints of the full system before pruning, and
+    contracted is the mask of the variables that are not roots.  _members
+    maps each root with other members to the mask of its component, and
+    _tables holds the basis tables the rows were read from, for the
+    witness check.
     """
 
     _fields = ("n", "nvars", "rows", "raw_rows", "contracted")
     __slots__ = (*_fields, "_members", "_tables")
-
-    def __init__(
-        self,
-        n: int,
-        nvars: int,
-        # coefficient masks over the basis: the wide pair rows with rhs 0
-        # (each on roots only; zero rows and duplicates dropped), then the
-        # value row, rhs 1, with a one on every root of an odd-sized component
-        rows: tuple[int, ...],
-        raw_rows: int,  # constraints of the full system before pruning
-        contracted: int,  # mask of the variables that are not roots
-        # root -> mask of its component, for the roots with other members
-        _members: dict[int, int],
-        # the basis tables the rows were read from, for the witness check
-        _tables: _BasisTables,
-    ) -> None:
-        _set(self, "n", n)
-        _set(self, "nvars", nvars)
-        _set(self, "rows", rows)
-        _set(self, "raw_rows", raw_rows)
-        _set(self, "contracted", contracted)
-        _set(self, "_members", _members)
-        _set(self, "_tables", _tables)
 
     def lift(self, x: int) -> int:
         """A solution over the roots as one over every variable: each set
@@ -77,23 +63,14 @@ class LinearSystem(_Value):
 
 
 class Decision(_Value):
-    __slots__ = _fields = ("answer", "witness", "nvars", "rows", "raw_rows", "rank")
+    """The answer for one time-graph over one basis.
 
-    def __init__(
-        self,
-        answer: bool,
-        witness: Optional[tuple[int, ...]],  # basis indices with coefficient 1
-        nvars: int,
-        rows: int,  # rows of the contracted system, as LinearSystem.rows
-        raw_rows: int,
-        rank: int,  # coefficient rank of the full system
-    ) -> None:
-        _set(self, "answer", answer)
-        _set(self, "witness", witness)
-        _set(self, "nvars", nvars)
-        _set(self, "rows", rows)
-        _set(self, "raw_rows", raw_rows)
-        _set(self, "rank", rank)
+    witness lists the basis indices with coefficient 1 (None for a no),
+    rows counts the rows of the contracted system, as LinearSystem.rows,
+    and rank is the coefficient rank of the full system.
+    """
+
+    __slots__ = _fields = ("answer", "witness", "nvars", "rows", "raw_rows", "rank")
 
 
 def incidence_columns(n: int, basis_perms: Sequence[Permutation]) -> list[int]:
@@ -174,19 +151,15 @@ def _block(tables: _BasisTables, e: int) -> _Block:
     cols, masks, _, blocks = tables
     block = blocks[e]
     if block is None:
-        ps = bit_indices(cols[e])
-        # row f of the block lists the permutations through e and f
-        shared: dict[int, list[int]] = {}
-        for i in ps:
-            for f in bit_indices(masks[i]):
-                shared.setdefault(f, []).append(i)
+        ce = cols[e]
         zero = 0
         links, wide = [], []
         # in e's block the column of a basis permutation through e is its
         # incident mask and every other column is zero, so the block's rank
         # profile needs only those few masks
-        for f in column_rank_profile([masks[i] for i in ps], len(cols)):
-            vs = shared[f]
+        for f in column_rank_profile([masks[i] for i in bit_indices(ce)], len(cols)):
+            # row f of the block lists the permutations through e and f
+            vs = bit_indices(ce & cols[f])
             if len(vs) == 1:
                 zero |= 1 << vs[0]
             elif len(vs) == 2:

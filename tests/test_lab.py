@@ -319,6 +319,12 @@ def test_audit_of_a_real_false_positive_violates_both(order7_false_positive):
     assert audit["witness"] == list(witness)
 
 
+def test_both_reports_of_the_order7_audit_replay(order7_false_positive):
+    # conjecture 2 rebuilds the order-7 pair basis, beyond the default cap
+    for rep in audit_false_positive(*order7_false_positive)["reports"]:
+        assert replay_report(rep)
+
+
 def test_audit_gate_raises_when_neither_conjecture_is_violated(
     order7_false_positive, monkeypatch
 ):
@@ -337,6 +343,11 @@ def test_audit_gate_raises_when_neither_conjecture_is_violated(
 def test_crossval_requires_count_for_random():
     with pytest.raises(ValueError):
         crossval(4, exhaustive=False)
+
+
+def test_crossval_refuses_a_count_for_exhaustive():
+    with pytest.raises(ValueError, match="random_count given with exhaustive"):
+        crossval(3, exhaustive=True, random_count=2, seed=5)
 
 
 # ---------------------------------------------------------------------------

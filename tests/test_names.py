@@ -6,7 +6,9 @@ otherwise surface only as a NameError in the field.  The check is static:
 each module's source is compiled (not run) and every code object in it is
 walked with ``dis``.  An import left behind by a deletion is found on the
 module's syntax tree, and so is an ``assert`` statement: ``python -O``
-strips those, so no check in the package may rely on one.
+strips those, so no check in the package may rely on one.  So is a value
+type's ``__init__`` that only stores its arguments: ``gf2._Value`` writes
+that one for every subclass that leaves it out.
 """
 
 import ast
@@ -148,6 +150,83 @@ def test_check_reports_an_assert_statement(tmp_path):
         "s = 'assert False'\n"
     )
     assert assert_statements(src) == ["sample:3", "sample:7"]
+
+
+def _stores_its_argument(stmt: ast.stmt) -> bool:
+    """Whether stmt is _set(self, "f", f) for some field f."""
+    if not (isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Call)):
+        return False
+    call = stmt.value
+    args = call.args
+    return (
+        isinstance(call.func, ast.Name) and call.func.id == "_set"
+        and not call.keywords and len(args) == 3
+        and isinstance(args[0], ast.Name) and args[0].id == "self"
+        and isinstance(args[1], ast.Constant) and isinstance(args[2], ast.Name)
+        and args[1].value == args[2].id
+    )
+
+
+def storing_constructors(path: Path) -> list[str]:
+    """'module.Class' per _Value subclass (in the module, directly or through
+    another of its classes) whose __init__ has no default and whose body
+    only stores its arguments."""
+    tree = ast.parse(path.read_text(), str(path))
+    values = {"_Value"}
+    out = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        if not any(isinstance(b, ast.Name) and b.id in values for b in node.bases):
+            continue
+        values.add(node.name)
+        for item in node.body:
+            if (
+                isinstance(item, ast.FunctionDef) and item.name == "__init__"
+                and not item.args.defaults
+                and all(map(_stores_its_argument, item.body))
+            ):
+                out.append(f"{path.stem}.{node.name}")
+    return out
+
+
+def test_no_value_type_writes_the_constructor_it_is_given():
+    paths = sorted(PACKAGE_DIR.glob("*.py"))
+    assert len(paths) >= 9
+    assert [msg for path in paths for msg in storing_constructors(path)] == []
+
+
+def test_check_reports_a_constructor_that_only_stores(tmp_path):
+    src = tmp_path / "sample.py"
+    src.write_text(
+        "class Plain(_Value):\n"
+        "    __slots__ = ('a', 'b')\n"
+        "    def __init__(self, a, b):\n"
+        "        _set(self, 'a', a)\n"
+        "        _set(self, 'b', b)\n"
+        "class Derived(Plain):\n"
+        "    def __init__(self, a, b):\n"
+        "        _set(self, 'a', a)\n"
+        "class Checked(_Value):\n"
+        "    def __init__(self, a):\n"
+        "        if a < 0:\n"
+        "            raise ValueError(a)\n"
+        "        _set(self, 'a', a)\n"
+        "class Defaulted(_Value):\n"
+        "    def __init__(self, a, b=0):\n"
+        "        _set(self, 'a', a)\n"
+        "        _set(self, 'b', b)\n"
+        "class Computed(_Value):\n"
+        "    def __init__(self, a):\n"
+        "        _set(self, 'a', a or 0)\n"
+        "class Renamed(_Value):\n"
+        "    def __init__(self, a):\n"
+        "        _set(self, 'b', a)\n"
+        "class Other:\n"
+        "    def __init__(self, a):\n"
+        "        _set(self, 'a', a)\n"
+    )
+    assert storing_constructors(src) == ["sample.Plain", "sample.Derived"]
 
 
 def test_exports_match_the_package():

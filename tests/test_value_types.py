@@ -4,10 +4,13 @@ Each type is equal only to a value of the same type with equal fields
 (hidden state such as a cached echelon is left out), equal values hash
 equal, fields cannot be assigned or deleted, copies and pickles are
 equal, ``repr`` shows the type and its fields, construction is positional
-in field order, and the checks on construction raise as documented.
+in field order, and the checks on construction raise as documented.  The
+plain records, whose constructor ``_Value`` writes, take their slots by
+position or keyword and name themselves in an arity error.
 """
 
 import copy
+import inspect
 import pickle
 
 import pytest
@@ -97,6 +100,11 @@ FIELDS = {
         "conjecture", "verdict", "witness",
     ),
 }
+# the types that neither check nor default their values
+PLAIN = [
+    "BasisElement", "CanonicalBasis", "ConjectureReport", "Decision",
+    "Decomposition", "InsertResult", "LinearSystem",
+]
 # the immutable, hashable types; a report's witness is a dict that the
 # campaign extends in place
 FROZEN = sorted(set(CASES) - {"ConjectureReport"})
@@ -202,3 +210,25 @@ def test_construction_checks_raise(make, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         make()
 
+
+
+@pytest.mark.parametrize("name", PLAIN)
+def test_plain_records_take_their_slots_by_position_or_keyword(name):
+    a = CASES[name][0]
+    cls = type(a)
+    values = [getattr(a, f) for f in cls.__slots__]
+    assert list(inspect.signature(cls).parameters) == list(cls.__slots__)
+    by_keyword = cls(**dict(zip(cls.__slots__, values)))
+    assert by_keyword == cls(*values) == a
+    assert [getattr(by_keyword, f) for f in cls.__slots__] == values
+
+
+@pytest.mark.parametrize("name", PLAIN)
+def test_plain_record_arity_errors_name_the_class(name):
+    a = CASES[name][0]
+    cls = type(a)
+    values = [getattr(a, f) for f in cls.__slots__]
+    with pytest.raises(TypeError, match=rf"^{name}\.__init__\(\) missing 1 required"):
+        cls(*values[:-1])
+    with pytest.raises(TypeError, match=rf"^{name}\.__init__\(\) takes"):
+        cls(*values, None)
