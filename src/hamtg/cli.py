@@ -4,11 +4,12 @@ Subcommands: reduce, oracle, basis, dim, solve, conjectures, crossval.
 Output is JSON on stdout (or --out); `solve` exits 10 for yes and 11 for
 no, `crossval` exits 1 when the decider gave a false negative (an
 implementation bug), everything else exits 0 on success.  An input file
-that cannot be read or parsed, or an order beyond a scale cap, exits 2,
-as argparse's usage errors do, with one JSON line {"error": <exception
-class>, "message": ...} on stderr and nothing on stdout.  An order or
-count below 1 is a usage error.  The basis cache directory comes from
---cache-dir or the HAMTG_CACHE_DIR environment variable.
+that cannot be read or parsed, an --out file or --cache-dir that cannot
+be written, or an order beyond a scale cap, exits 2, as argparse's usage
+errors do, with one JSON line {"error": <exception class>, "message":
+...} on stderr and nothing on stdout.  An order or count below 1 is a
+usage error.  The basis cache directory comes from --cache-dir or the
+HAMTG_CACHE_DIR environment variable.
 """
 
 from __future__ import annotations
@@ -222,7 +223,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (_InputFileError, timegraph.OracleScaleError) as exc:
+    except (_InputFileError, OSError, timegraph.OracleScaleError) as exc:
         err = exc.__cause__ if isinstance(exc, _InputFileError) else exc
         error = {"error": type(err).__name__, "message": str(err)}
         print(json.dumps(error), file=sys.stderr)

@@ -251,39 +251,19 @@ def column_rank_profile(cols: Iterable[int], nrows: int) -> list[int]:
 
 
 class LinearSolveResult(_Value):
-    """Raw elimination outcome over int-encoded equation rows."""
+    """Raw elimination outcome over int-encoded equation rows: x is the
+    particular solution, free variables zero, rank the coefficient rank of
+    the rows processed, and _pivots the augmented echelon, pivot -> row with
+    the rhs at bit _nvars; x and _pivots are None when inconsistent."""
 
     _fields = ("consistent", "x", "rank")
-    __slots__ = (*_fields, "_pivots", "_nvars", "_null")
-
-    def __init__(
-        self,
-        consistent: bool,
-        x: Optional[int],  # particular solution (free variables zero); None when inconsistent
-        rank: int,  # coefficient-matrix rank of the rows processed
-        # the augmented echelon of a consistent system, pivot -> row with
-        # the rhs at bit position nvars
-        _pivots: Optional[dict[int, int]] = None,
-        _nvars: int = 0,
-    ) -> None:
-        _set(self, "consistent", consistent)
-        _set(self, "x", x)
-        _set(self, "rank", rank)
-        _set(self, "_pivots", _pivots)
-        _set(self, "_nvars", _nvars)
-        _set(self, "_null", None)
-
-    @property
-    def nullspace(self) -> tuple[int, ...]:
-        """Basis of the homogeneous solutions, one vector per free variable, ascending."""
-        if self._null is None:
-            _set(self, "_null", self.nullspace_without(0))
-        return self._null
+    __slots__ = (*_fields, "_pivots", "_nvars")
 
     def nullspace_without(self, skip: int) -> tuple[int, ...]:
-        """The nullspace vectors of the free variables outside the mask skip,
-        by back-substituting the echelon, highest pivot first; empty for an
-        inconsistent system.
+        """The nullspace vectors of the free variables outside the mask skip
+        (all of them for skip=0), one per variable, ascending; the echelon
+        is back-substituted highest pivot first.  Empty for an inconsistent
+        system.
         """
         rows = self._pivots
         if rows is None:
@@ -326,7 +306,7 @@ def solve_system(
             if hit is None:
                 # bit nvars is never a pivot, so 0 = 1 ends up here
                 if r == inconsistent:
-                    return LinearSolveResult(False, None, len(pivots))
+                    return LinearSolveResult(False, None, len(pivots), None, nvars)
                 pivots[p] = r
                 break
             r ^= hit

@@ -245,6 +245,10 @@ def check_conjecture2(
     layer sum, and the verdict asks whether that sum is the diagonal image
     of some element supported in G; image_span is the span of those images
     (supported_image_span of cb.G).  Vacuous when every layer sum is zero.
+    A verdict at j = 0 on a g in the pair span always holds: decompose
+    leaves gc with a zero diagonal, so diag(g) is the sum of the layer
+    sums, which is f_0 when j = 0, and g itself is a supported element
+    with that diagonal.
     """
     return _conjecture2(
         cb, format(g.bits, "x"), _decomposed(cb, g), image_span, instance_id

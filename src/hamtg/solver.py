@@ -11,7 +11,6 @@ is surfaced as a counterexample candidate rather than an error.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
 from .canonical import InternalInconsistencyError
@@ -86,7 +85,8 @@ def incidence_columns(n: int, basis_perms: Sequence[Permutation]) -> list[int]:
     return cols
 
 
-# What every decision over one basis shares, built once per basis:
+# What every decision over one basis shares, built once per basis and kept
+# by _tables for the last basis seen:
 # - cols, the incidence_columns;
 # - masks, per basis permutation, its incident edge mask;
 # - live, the mask of the edges with a nonzero column (no self-loop is
@@ -98,7 +98,6 @@ _Block = tuple[int, tuple[int, ...], tuple[tuple[int, tuple[int, ...]], ...]]
 _BasisTables = tuple[tuple[int, ...], tuple[int, ...], int, list[Optional[_Block]]]
 
 
-@lru_cache(maxsize=4)
 def _basis_tables(n: int, basis_perms: tuple[Permutation, ...]) -> _BasisTables:
     cols = incidence_columns(n, basis_perms)
     masks = tuple(incident_mask(p) for p in basis_perms)
@@ -183,8 +182,9 @@ _last: Optional[tuple[int, tuple[Permutation, ...], _BasisTables]] = None
 def _tables(n: int, basis_perms: Sequence[Permutation]) -> _BasisTables:
     # keyed on the permutations themselves, so a basis given as lists works;
     # the same tuples as last time match by identity, item by item, without
-    # hashing them, and a list never equals the stored tuple, so a list
-    # basis mutated in place is looked up afresh
+    # hashing them, equal tuples read anew (a basis reloaded from its cache
+    # file) match by value, and a list never equals the stored tuple, so a
+    # list basis mutated in place is built afresh
     global _last
     perms = tuple(basis_perms)
     last = _last
@@ -212,10 +212,7 @@ def assemble_system(G: TimeGraph, basis_perms: Sequence[Permutation]) -> LinearS
     wide row that meets a contracted variable is rewritten onto the roots
     through its own permutations; a wide row of e for a missing e' < e is
     skipped, as the row of (e', e) lies in the span of e''s block.  Zero
-    and duplicate rows are dropped; the value row comes last.  Per decision
-    in crossval-n6 seed 1: 1,344 units and links in 314 block masks, a zero
-    mask of 646 of the 719 variables after about 4 passes, 15 masks left to
-    join, and about 13 rows eliminated.
+    and duplicate rows are dropped; the value row comes last.
     """
     tables = _tables(G.n, basis_perms)
     cols, masks, live, blocks = tables

@@ -56,6 +56,16 @@ def edge_from_index(idx: int, n: int) -> Edge:
     return Edge(i + 1, j + 1, t + 1)
 
 
+def _text_rows(text: str, kind: str) -> tuple[int, list[str]]:
+    """A graph or time-graph file's order and its other rows, stripped, with
+    blank and # lines dropped; kind names the file in the error."""
+    rows = [ln.strip() for ln in text.splitlines()]
+    rows = [ln for ln in rows if ln and not ln.startswith("#")]
+    if not rows:
+        raise ValueError(f"empty {kind} file")
+    return int(rows[0]), rows[1:]
+
+
 class TimeGraph(_Value):
     """A subgraph of the complete time-graph: order n plus an edge bitmask."""
 
@@ -113,12 +123,8 @@ class TimeGraph(_Value):
 
     @classmethod
     def from_text(cls, text: str) -> "TimeGraph":
-        rows = [ln.strip() for ln in text.splitlines()]
-        rows = [ln for ln in rows if ln and not ln.startswith("#")]
-        if not rows:
-            raise ValueError("empty time-graph file")
-        n = int(rows[0])
-        return cls.from_indices(n, (int(ln) for ln in rows[1:]))
+        n, rows = _text_rows(text, "time-graph")
+        return cls.from_indices(n, map(int, rows))
 
 
 class Graph(_Value):
@@ -152,13 +158,9 @@ class Graph(_Value):
 
     @classmethod
     def from_text(cls, text: str) -> "Graph":
-        rows = [ln.strip() for ln in text.splitlines()]
-        rows = [ln for ln in rows if ln and not ln.startswith("#")]
-        if not rows:
-            raise ValueError("empty graph file")
-        n = int(rows[0])
+        n, rows = _text_rows(text, "graph")
         pairs = []
-        for ln in rows[1:]:
+        for ln in rows:
             parts = ln.split()
             if len(parts) != 2:
                 raise ValueError(f"expected a vertex pair, got {ln!r}")
@@ -272,23 +274,13 @@ def reduce_hamp(g: Graph) -> TimeGraph:
     visits (v_1, ..., v_n) iff the permutation it spells is incident on the
     reduction.
     """
-    masks = _pair_masks(g.n)
-    bits = 0
-    for pair in g.pairs:
-        bits |= masks[pair]
-    return TimeGraph(g.n, bits)
-
-
-@functools.cache
-def _pair_masks(n: int) -> dict[tuple[int, int], int]:
-    """Per vertex pair a < b, the edges (a, b, t) and (b, a, t) of every layer t."""
-    masks = {}
-    for i, j in itertools.combinations(range(n), 2):  # a - 1, b - 1
-        bits = 0
-        for t in range(n - 1):
-            bits |= 1 << (t * n + i) * n + j | 1 << (t * n + j) * n + i
-        masks[i + 1, j + 1] = bits
-    return masks
+    n = g.n
+    layer = 0
+    for a, b in g.pairs:
+        layer |= 1 << (a - 1) * n + b - 1 | 1 << (b - 1) * n + a - 1
+    # the layer-1 mask is below 2^(n^2), so its product with the repunit
+    # of the n - 1 layer blocks repeats it at every layer without a carry
+    return TimeGraph(n, layer * (((1 << (n - 1) * n * n) - 1) // ((1 << n * n) - 1)))
 
 
 def _extend_path(adj: dict[int, set[int]], n: int, v: int, visited: set[int]) -> bool:

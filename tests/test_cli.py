@@ -218,6 +218,18 @@ def test_missing_input_file_exits_with_input_error(capsys, tmp_path):
     assert error["error"] == "FileNotFoundError"
 
 
+def test_unwritable_out_or_cache_dir_exits_with_input_error(capsys, tmp_path, graph_file):
+    # exit 1 would read as crossval's "false negatives present"
+    out = tmp_path / "missing" / "x.json"
+    error = _input_error(capsys, ["crossval", "--n", "3", "--out", str(out)])
+    assert error["error"] == "FileNotFoundError" and str(out) in error["message"]
+    not_a_dir = tmp_path / "cache"
+    not_a_dir.write_text("")
+    argv = ["solve", graph_file(path_graph(3)), "--cache-dir", str(not_a_dir)]
+    error = _input_error(capsys, argv)
+    assert error["error"] == "FileExistsError" and str(not_a_dir) in error["message"]
+
+
 def test_order_beyond_the_cap_exits_with_input_error(capsys, graph_file):
     error = _input_error(capsys, ["solve", graph_file(path_graph(5)), "--cap", "4"])
     assert error == {"error": "OracleScaleError", "message": "basis scale exceeded: n=5 > cap=4"}

@@ -207,7 +207,7 @@ def test_solve_identity_system():
     res = solve_system([1 << k for k in range(5)], [0, 1, 0, 1, 0], 5)
     assert res.consistent
     assert res.x == 0b01010
-    assert res.nullspace == ()
+    assert res.nullspace_without(0) == ()
     assert res.rank == 5
 
 
@@ -222,7 +222,7 @@ def test_solve_zero_matrix_zero_rhs():
     res = solve_system([0, 0, 0], [0, 0, 0], 4)
     assert res.consistent
     assert res.x == 0
-    assert res.nullspace == (0b0001, 0b0010, 0b0100, 0b1000)
+    assert res.nullspace_without(0) == (0b0001, 0b0010, 0b0100, 0b1000)
 
 
 def test_solve_planted_20x30():
@@ -235,11 +235,11 @@ def test_solve_planted_20x30():
     assert res.consistent
     for r, b in zip(eq_rows, rhs):
         assert (r & res.x).bit_count() & 1 == b
-    for vec in res.nullspace:
+    for vec in res.nullspace_without(0):
         for r in eq_rows:
             assert (r & vec).bit_count() & 1 == 0
     # planted minus particular lies in the nullspace span
-    assert in_span_oracle(planted ^ res.x, list(res.nullspace), nvars)
+    assert in_span_oracle(planted ^ res.x, list(res.nullspace_without(0)), nvars)
 
 
 def test_solve_system_detects_inconsistency():
@@ -303,7 +303,7 @@ def test_solve_random_planted(nrows, nvars, rnd):
     assert res.x is not None
     for r, b in zip(eq_rows, rhs):
         assert (r & res.x).bit_count() & 1 == b
-    for vec in res.nullspace:
+    for vec in res.nullspace_without(0):
         for r in eq_rows:
             assert (r & vec).bit_count() & 1 == 0
 
@@ -338,10 +338,10 @@ def test_solve_system_matches_oracle(nvars, nrows, density, planted, rnd):
             if rank_oracle(eq_rows[: k + 1], nvars) != rank_oracle(aug[: k + 1], nvars + 1)
         )
         assert res.rank == rank_oracle(eq_rows[:k], nvars)
-        assert res.x is None and res.nullspace == ()
+        assert res.x is None and res.nullspace_without(0) == ()
         return
     assert res.rank == rank_a
-    assert len(res.nullspace) == nvars - rank_a
+    assert len(res.nullspace_without(0)) == nvars - rank_a
     # free variables: the columns where the prefix column rank does not grow
     free = [
         c for c in range(nvars)
@@ -352,7 +352,7 @@ def test_solve_system_matches_oracle(nvars, nrows, density, planted, rnd):
     assert res.x & free_mask == 0
     for r, b in zip(eq_rows, rhs):
         assert (r & res.x).bit_count() & 1 == b
-    for f, vec in zip(free, res.nullspace):
+    for f, vec in zip(free, res.nullspace_without(0)):
         assert vec & free_mask == 1 << f
         for r in eq_rows:
             assert (r & vec).bit_count() & 1 == 0

@@ -142,6 +142,14 @@ def test_conjecture2_holds_on_incident_indicator():
     assert rep.verdict in ("holds", "vacuous")
 
 
+def test_conjecture2_holds_by_construction_at_layer_0():
+    # a campaign's g is supported in G and lies in the pair span, and at
+    # j = 0 its diagonal is f_0, so g itself witnesses feasibility
+    reports = run_campaign(5, 20, 0, orders=2)["reports"]
+    at_0 = [r for r in reports if r.conjecture == 2 and r.witness["j"] == 0]
+    assert at_0 and all(r.verdict == "holds" for r in at_0)
+
+
 def test_checks_reject_unsupported_vector():
     n = 3
     G = TimeGraph.empty(n)

@@ -255,7 +255,7 @@ def _check_against_reference(T, perms):
     assert decision.rank == echelon.rank
     assert decision.rows == len(rows)
     homogeneous = solve_system(ref[1:], zeros, nvars)
-    assert lab.supported_coefficient_space(T, perms) == list(homogeneous.nullspace)
+    assert lab.supported_coefficient_space(T, perms) == list(homogeneous.nullspace_without(0))
     assert system.raw_rows == 1 + len(T.complement_indices()) * edge_space_size(T.n)
     return system
 
@@ -288,7 +288,7 @@ def test_assembly_matches_full_loop_reference_at_order_6():
     for T in graphs:
         system = _check_against_reference(T, perms)
         hom = system.rows[:-1]
-        for v in solve_system(hom, (0,) * len(hom), len(perms)).nullspace:
+        for v in solve_system(hom, (0,) * len(hom), len(perms)).nullspace_without(0):
             lifted += system.lift(v) != v
     assert lifted
 
@@ -416,6 +416,25 @@ def test_a_yes_decision_looks_up_the_basis_tables_once(monkeypatch):
     decision = decide_time_graph(T, perms)
     assert decision.answer
     assert calls == [5]
+
+
+def test_a_campaign_and_its_replays_build_the_basis_tables_once(monkeypatch, tmp_path):
+    # the replays reload the basis from the cache directory as new tuples,
+    # which the last-basis memo matches by value, so no second cache is needed
+    real = solver._basis_tables
+    calls = []
+
+    def counted(n, basis_perms):
+        calls.append(n)
+        return real(n, basis_perms)
+
+    monkeypatch.setattr(solver, "_basis_tables", counted)
+    monkeypatch.setattr(solver, "_last", None)
+    result = lab.run_campaign(4, 4, 0, orders=2, cache_dir=str(tmp_path))
+    assert {rep.conjecture for rep in result["reports"]} == {1, 2}
+    for rep in result["reports"]:
+        assert lab.replay_report(rep.to_dict(), cache_dir=str(tmp_path))
+    assert calls == [4]
 
 
 def test_tables_memo_follows_a_list_basis_mutated_in_place(monkeypatch):

@@ -132,9 +132,11 @@ def test_reduce_matches_per_edge_reference_on_every_small_graph():
 
 
 def test_reduce_beyond_the_oracle_cap():
-    # the pair masks are built for any order, not just the oracle-sized ones
-    g = cycle_graph(12)
-    assert reduce_hamp(g) == reduce_hamp_reference(g)
+    # the layer-1 mask times the layer repunit must place every layer at
+    # any order, not just the oracle-sized ones; a complete graph's full
+    # layer is the largest multiplicand
+    for g in [cycle_graph(12), petersen(), *map(Graph.complete, range(6, 10))]:
+        assert reduce_hamp(g) == reduce_hamp_reference(g)
 
 
 def test_hamiltonian_path_oracle_examples():
@@ -197,6 +199,13 @@ def test_timegraph_text_roundtrip():
     T = reduce_hamp(path_graph(3))
     back = TimeGraph.from_text(T.to_text())
     assert back == T
+    assert TimeGraph.from_text(" # order\n 2\n\n# edges\n 3 \n") == TimeGraph(2, 1 << 3)
+
+
+@pytest.mark.parametrize("cls, kind", [(Graph, "graph"), (TimeGraph, "time-graph")])
+def test_a_file_of_only_comments_is_empty(cls, kind):
+    with pytest.raises(ValueError, match=f"^empty {kind} file$"):
+        cls.from_text("# nothing here\n\n   \n")
 
 
 def test_graph_rejects_self_loop_pairs():

@@ -34,7 +34,7 @@ CASES = {
     ),
     "LinearSolveResult": (
         LinearSolveResult(True, 1, 1, {0: 1}, 1),
-        LinearSolveResult(True, 1, 1),
+        LinearSolveResult(True, 1, 1, None, 0),
         LinearSolveResult(True, 0, 1, {0: 1}, 1),
         "LinearSolveResult(consistent=True, x=1, rank=1)",
     ),
@@ -103,7 +103,7 @@ FIELDS = {
 # the types that neither check nor default their values
 PLAIN = [
     "BasisElement", "CanonicalBasis", "ConjectureReport", "Decision",
-    "Decomposition", "InsertResult", "LinearSystem",
+    "Decomposition", "InsertResult", "LinearSolveResult", "LinearSystem",
 ]
 # the immutable, hashable types; a report's witness is a dict that the
 # campaign extends in place
@@ -175,10 +175,9 @@ def test_positional_construction_and_defaults():
     assert BitVec(4).bits == 0 and TimeGraph(3).edges == 0
     assert Graph(3).pairs == frozenset()
     assert EdgeVector(2).bits == 0 and PairVector(2).bits == 0
-    res = LinearSolveResult(True, 0, 0)
-    assert res.nullspace == () and res.nullspace is res.nullspace
+    assert LinearSolveResult(True, 0, 0, None, 0).nullspace_without(0) == ()
     res = LinearSolveResult(True, 0, 1, {1: 0b010}, 3)
-    assert res.nullspace == (0b001, 0b100) and res.nullspace is res.nullspace
+    assert res.nullspace_without(0) == (0b001, 0b100)
     d = Decision(False, None, 5, 4, 3, 2)
     assert (d.answer, d.witness, d.nvars, d.rows, d.raw_rows, d.rank) == (False, None, 5, 4, 3, 2)
     r = ConjectureReport("i", 3, (1, 2), (0,), 7, 2, "violated", {})
