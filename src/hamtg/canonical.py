@@ -11,19 +11,26 @@ the permutations incident on G_l.
 A permutation belongs to layer l exactly when e_l is the last of its
 missing edges in the enumeration (layer 0 when none is missing), so one
 pass over the enumeration finds every permutation's layer.
+
+The greedy selection and the coordinates over the kept permutations both
+come from one elimination of the columns of the candidates' 0/1 incidence
+matrix, one column per edge.  The candidate order only permutes the rows,
+which leaves the column dependencies alone, so the columns of a fixed
+spanning set of edges, found once per order, span the column space of
+every build.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 from typing import Optional, Sequence
 
-from .gf2 import Gf2Basis, _Value, column_rank_profile
+from .gf2 import _Value
 from .permvec import EdgeVector, PairVector, diagonal, pair_sum
 from .timegraph import (
     TimeGraph,
     check_perm_cap,
-    edge_space_size,
     incident_mask,
     permutation_table,
     permutations_through,
@@ -44,11 +51,15 @@ class CanonicalBasis(_Value):
     """Layered basis of the edge span.
 
     order is the enumeration of the complement, as edge indices, and
-    layers holds layers 0..k of the elements.
+    layers holds layers 0..k of the elements.  The hidden _echelon holds a
+    (pivot, row, element) triple per element, highest pivot first: the row
+    is a sum of spanning columns, its lowest set bit, kept as a power of
+    two in pivot, is the element's candidate position, and its bits from
+    n! up are the edges it sums.
     """
 
     _fields = ("G", "order", "layers", "perm_seed")
-    __slots__ = (*_fields, "coord_basis")
+    __slots__ = (*_fields, "_echelon")
 
     @property
     def k(self) -> int:
@@ -65,7 +76,7 @@ class CanonicalBasis(_Value):
 
     @property
     def rank(self) -> int:
-        return self.coord_basis.rank
+        return len(self._echelon)
 
 
 def _checked_order(
@@ -78,6 +89,46 @@ def _checked_order(
     if sorted(order) != complement:
         raise ValueError("order is not an enumeration of the complement")
     return order
+
+
+def _keep(pivots: dict[int, int], r: int, column_bits: int) -> Optional[int]:
+    """Reduce r at the pivots it hits of an echelon keyed by lowest set bit
+    (as a power of two) and keep it there; None when kept, else what is
+    left once its column_bits cancel."""
+    while r & column_bits:
+        low = r & -r
+        hit = pivots.get(low)
+        if hit is None:
+            pivots[low] = r
+            return None
+        r ^= hit
+    return r
+
+
+@functools.cache
+def _spanning_edges(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The spanning edges of the order-n incidence matrix, whose column e
+    has bit k set when permutation_table entry k goes through e: ascending,
+    the edges whose columns extend the span of the columns before them, a
+    basis of the column space.  And per other edge its relation: the mask
+    of that edge and of the spanning edges whose columns sum to its column.
+
+    The relations are a basis of the edge masks that every incident mask
+    meets in an even number of edges.  Kept per order like
+    permutation_table.
+    """
+    through = permutations_through(n)
+    size = len(permutation_table(n))
+    column_bits = (1 << size) - 1
+    pivots: dict[int, int] = {}
+    spanning, relations = [], []
+    for e, ks in enumerate(through):
+        left = _keep(pivots, sum(1 << k for k in ks) | 1 << (size + e), column_bits)
+        if left is None:
+            spanning.append(e)
+        else:
+            relations.append(left >> size)
+    return tuple(spanning), tuple(relations)
 
 
 def build_canonical_basis(
@@ -100,32 +151,41 @@ def build_canonical_basis(
     order = _checked_order(G, order)
     table = permutation_table(G.n)
     through = permutations_through(G.n)
-    layer_of = [0] * len(table)
+    size = len(table)
+    layer_of = [0] * size
     for pos, e in enumerate(order, 1):
         for k in through[e]:
             layer_of[k] = pos
-    candidates = list(range(len(table)))
+    candidates = list(range(size))
     if perm_seed is not None:
         random.Random(perm_seed).shuffle(candidates)
     candidates.sort(key=layer_of.__getitem__)
     # the greedy selection is the rank profile of the candidates' 0/1
-    # matrix, which has far fewer columns than rows; bit i of column e is
-    # set when candidate i goes through e
-    bit = [0] * len(table)
+    # matrix, the lowest set bits of the vectors in its column space, read
+    # off an echelon keyed by lowest bit of the spanning columns; bit i of
+    # column e is set when candidate i goes through e, and bit size + e
+    # records that the row combines e
+    column_bits = (1 << size) - 1
+    bit = [0] * size
     for i, k in enumerate(candidates):
         bit[k] = 1 << i
-    kept = column_rank_profile([sum(map(bit.__getitem__, ks)) for ks in through], len(table))
-    basis = Gf2Basis(edge_space_size(G.n))
-    for i in kept:
-        basis.insert_raw(table[candidates[i]][1])
-    if basis.rank != len(kept):
-        raise InternalInconsistencyError("a rank-profile row is dependent")
+    pivots: dict[int, int] = {}
+    for e in _spanning_edges(G.n)[0]:
+        r = sum(map(bit.__getitem__, through[e])) | 1 << (size + e)
+        if _keep(pivots, r, column_bits) is not None:
+            raise InternalInconsistencyError("a spanning column is dependent")
     layers: list[list[BasisElement]] = [[] for _ in range(len(order) + 1)]
-    for i in kept:
-        k = candidates[i]
+    echelon = []
+    for low in sorted(pivots):
+        k = candidates[low.bit_length() - 1]
         li = layer_of[k]
-        layers[li].append(BasisElement(li, len(layers[li]), table[k][0]))
-    return CanonicalBasis(G, order, tuple(map(tuple, layers)), perm_seed, basis)
+        el = BasisElement(li, len(layers[li]), table[k][0])
+        layers[li].append(el)
+        echelon.append((low, pivots[low], el))
+    echelon.reverse()
+    return CanonicalBasis(
+        G, order, tuple(map(tuple, layers)), perm_seed, tuple(echelon)
+    )
 
 
 class Decomposition(_Value):
@@ -142,22 +202,30 @@ def decompose(g: PairVector, cb: CanonicalBasis) -> Decomposition:
     """Split g into a closed cycle plus canonical basis elements.
 
     The coefficients are those of g's diagonal image over the edge basis;
-    they are unique, and the reconstruction is verified bit-exactly.
+    they are unique, and the reconstruction is verified bit-exactly.  The
+    image lies in the edge span exactly when it meets every relation of
+    the spanning edges evenly; the coefficients are then read off the
+    basis's echelon by back-substitution.
     """
     if g.n != cb.G.n:
         raise ValueError(f"order mismatch: {g.n} vs {cb.G.n}")
-    pg = diagonal(g)
-    combo = cb.coord_basis.coords(pg)
-    if combo is None:
+    pg = diagonal(g).bits
+    if any((pg & rel).bit_count() & 1 for rel in _spanning_edges(g.n)[1]):
         raise InternalInconsistencyError(
             "diagonal image escapes the canonical span"
         )
-    elements = cb.elements
+    # highest pivot first, a pivot's coefficient is the parity of its row's
+    # edges in pg and of its higher pivots already set; y holds both
+    y = pg << len(permutation_table(g.n))
+    chosen = []
+    for low, row, el in cb._echelon:
+        if (row & y).bit_count() & 1:
+            y |= low
+            chosen.append(el)
     masks = []
     sums = [0] * len(cb.layers)
     alpha = []
-    for kidx in combo:
-        el = elements[kidx]
+    for el in reversed(chosen):
         alpha.append((el.layer, el.slot))
         mask = incident_mask(el.perm)
         masks.append(mask)

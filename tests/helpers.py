@@ -9,7 +9,7 @@ import numpy as np
 
 from hamtg.gf2 import Gf2Basis, bit_indices
 from hamtg.lab import supported_coefficient_space
-from hamtg.permvec import PairVector, pair_sum, support_mask
+from hamtg.permvec import EdgeVector, PairVector, pair_sum, support_mask
 from hamtg.timegraph import (
     Edge,
     Graph,
@@ -152,6 +152,20 @@ def canonical_layers_reference(G: TimeGraph, order, perm_seed, vector) -> list:
                     out.append((li, slot, p))
                     slot += 1
     return out
+
+
+def inserted_basis_alpha(cb, pg: EdgeVector):
+    """(layer, slot) of the elements of a canonical basis whose incident
+    masks xor to pg, read off a Gf2Basis into which those masks are
+    inserted in element order; None when pg is outside their span."""
+    basis = Gf2Basis(pg.length)
+    for el in cb.elements:
+        basis.insert_raw(incident_mask(el.perm))
+    coords = basis.coords(pg)
+    if coords is None:
+        return None
+    elements = cb.elements
+    return tuple((elements[i].layer, elements[i].slot) for i in coords)
 
 
 def support(g: PairVector) -> frozenset[Edge]:

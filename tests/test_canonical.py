@@ -1,15 +1,27 @@
+import json
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hamtg import canonical
 from hamtg.canonical import (
+    InternalInconsistencyError,
     build_canonical_basis,
     decompose,
     tail_sum_check,
 )
 from hamtg.gf2 import bit_indices, rank
+from hamtg.lab import (
+    random_graph,
+    random_time_graph,
+    sample_incident_combination,
+    sample_supported_element,
+    supported_coefficient_space,
+)
+from hamtg.liftbasis import build_basis
 from hamtg.permvec import (
     PairVector,
     diagonal,
@@ -18,15 +30,19 @@ from hamtg.permvec import (
     value,
 )
 from hamtg.timegraph import (
+    Edge,
     OracleScaleError,
     TimeGraph,
     all_permutations,
+    edge_index,
+    edge_space_size,
     incident_mask,
     incident_permutations,
+    permutation_table,
     reduce_hamp,
 )
 
-from helpers import canonical_layers_reference, path_graph
+from helpers import canonical_layers_reference, inserted_basis_alpha, path_graph
 
 
 def random_instance(n, rng):
@@ -155,6 +171,34 @@ def test_perm_seed_changes_layer_content_not_rank():
     assert a.d[0] == b.d[0]
 
 
+@pytest.mark.parametrize("n", range(2, 8))
+def test_spanning_edges_span_the_edge_span(n):
+    path = Path(__file__).resolve().parent.parent / "results" / "dimensions.json"
+    row = next(r for r in json.loads(path.read_text())["rows"] if r["n"] == n)
+    spanning, relations = canonical._spanning_edges(n)
+    assert len(spanning) == row["dim_edge_span"]
+    assert len(relations) == edge_space_size(n) - len(spanning)
+    # each relation holds its own edge, the highest, outside the spanning set
+    assert sorted(spanning + tuple(r.bit_length() - 1 for r in relations)) == list(
+        range(edge_space_size(n))
+    )
+    spanning_mask = sum(1 << e for e in spanning)
+    for rel in relations:
+        assert rel >> (rel.bit_length() - 1) == 1
+        assert rel & ~spanning_mask == 1 << (rel.bit_length() - 1)
+    for _, mask, _ in permutation_table(n):
+        assert not any((mask & rel).bit_count() & 1 for rel in relations)
+
+
+def test_a_dependent_spanning_column_is_fatal(monkeypatch):
+    spanning, relations = canonical._spanning_edges(4)
+    monkeypatch.setattr(
+        canonical, "_spanning_edges", lambda n: (spanning + spanning[:1], relations)
+    )
+    with pytest.raises(InternalInconsistencyError, match="spanning column is dependent"):
+        build_canonical_basis(reduce_hamp(path_graph(4)))
+
+
 # ---------------------------------------------------------------------------
 # layer rule: a permutation's layer is the position of its last missing edge
 
@@ -226,6 +270,50 @@ def test_decompose_roundtrip(n):
                 if l == li:
                     expected ^= edge_indicator(lookup[(l, s)].perm).bits
             assert dec.layer_sums[li].bits == expected
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_a_self_loop_on_the_diagonal_escapes_the_span(n):
+    # no permutation goes through a self-loop edge (i, i, t), so no element
+    # of the edge span has one
+    G, order = random_instance(n, random.Random(50 + n))
+    cb = build_canonical_basis(G, order=order)
+    size = edge_space_size(n)
+    for e in (edge_index(Edge(1, 1, 1), n), edge_index(Edge(n, n, n - 1), n)):
+        g = pair_indicator(all_permutations(n)[-1]) ^ PairVector(n, 1 << (e * (size + 1)))
+        assert diagonal(g).bits >> e & 1
+        with pytest.raises(InternalInconsistencyError, match="escapes"):
+            decompose(g, cb)
+
+
+@pytest.fixture(scope="module")
+def order6_lift_basis():
+    return build_basis(6)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_order6_coordinates_match_an_inserted_basis(seed, order6_lift_basis):
+    # instances, orders, seeds and supported elements drawn as the campaign
+    # draws them, plus an element that is not supported in G
+    rng = random.Random(f"coords:{seed}")
+    if seed % 2 == 0:
+        G = random_time_graph(6, rng)
+    else:
+        G = reduce_hamp(random_graph(6, rng))
+    order = G.complement_indices()
+    rng.shuffle(order)
+    cb = build_canonical_basis(G, order=order, perm_seed=rng.randrange(2**31))
+    masks = [incident_mask(p) for p in order6_lift_basis]
+    coeff_space = supported_coefficient_space(G, order6_lift_basis)
+    p, q = rng.sample(all_permutations(6), 2)
+    elements = [
+        sample_incident_combination(G, rng),
+        sample_supported_element(G, rng, coeff_space, masks),
+        pair_indicator(p) ^ pair_indicator(q),
+    ]
+    alphas = [decompose(g, cb).alpha for g in elements]
+    assert alphas == [inserted_basis_alpha(cb, diagonal(g)) for g in elements]
+    assert alphas[-1]
 
 
 # ---------------------------------------------------------------------------

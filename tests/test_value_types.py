@@ -161,7 +161,7 @@ def test_repr_shows_the_type_and_its_compared_fields(name):
     if text is not None:
         assert repr(a) == text
     assert repr(a).startswith(f"{name}(")
-    assert "_pivots" not in repr(a) and "coord_basis" not in repr(a)
+    assert "_pivots" not in repr(a) and "_echelon" not in repr(a)
 
 
 def test_canonical_basis_repr_names_its_fields():
