@@ -31,7 +31,7 @@ from .canonical import (
     tail_sum_check,
 )
 from .gf2 import Gf2Basis, _Value, bit_indices, column_rank_profile, solve_system
-from .liftbasis import build_basis
+from .liftbasis import _order_basis, base_basis, build_basis
 from .permvec import (
     PairVector,
     _pair_row,
@@ -425,11 +425,10 @@ def audit_false_positive(
 
 
 def _all_graphs(n: int) -> Iterable[Graph]:
+    # the pairs are ordered already, so each graph needs no from_edges pass
     pairs = list(itertools.combinations(range(1, n + 1), 2))
     for mask in range(1 << len(pairs)):
-        yield Graph.from_edges(
-            n, (pairs[k] for k in range(len(pairs)) if (mask >> k) & 1)
-        )
+        yield Graph(n, frozenset(pairs[k] for k in range(len(pairs)) if (mask >> k) & 1))
 
 
 def _random_graphs(n: int, count: int, seed: int) -> Iterable[Graph]:
@@ -510,10 +509,12 @@ def dimension_table(
     lift basis size must equal the brute-force pair rank.  The edge rank is
     the column rank of the permutations' edge incidence matrix; the pair
     rank is taken over compact pair rows, which keep the rank for the
-    reason given in liftbasis._lift_step.
+    reason given in liftbasis._lift_step.  Each order's lift basis is one
+    lift step from the order below, so the recursion runs once in all.
     """
     check_perm_cap(max_n)
     out = []
+    basis = base_basis(1)
     for n in range(2, max_n + 1):
         table = permutation_table(n)
         cols = [sum(1 << k for k in ks) for ks in permutations_through(n)]
@@ -530,9 +531,9 @@ def dimension_table(
             pair_rows = Gf2Basis(len(coords))
             for p, _, _ in table:
                 pair_rows.insert_raw(_pair_row(coords, p))
-            basis_n = len(build_basis(n, cache_dir=cache_dir, cap=pair_max))
+            basis = _order_basis(n, cache_dir, pair_max, prev=basis)
             row["dim_pair_span"] = pair_rows.rank
-            row["lift_basis_size"] = basis_n
-            row["consistent"] = pair_rows.rank == basis_n
+            row["lift_basis_size"] = len(basis)
+            row["consistent"] = pair_rows.rank == len(basis)
         out.append(row)
     return out

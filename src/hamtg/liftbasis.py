@@ -126,23 +126,40 @@ def build_basis(
 
     Recursion: one lift step from build_basis(n - 1), ending at
     base_basis for orders up to 3.  Per-order results are cached on disk
-    as JSON when a cache directory is configured; a file _load_cache does
-    not trust is rebuilt and replaced.
+    as JSON when a cache directory is configured (see _order_basis).
     """
     limit = DEFAULT_ORDER_CAP if cap is None else cap
     if n > limit:
         raise OracleScaleError(f"basis scale exceeded: n={n} > cap={limit}")
     if n < 1:
         raise ValueError(f"order must be positive, got {n}")
+    return _order_basis(n, cache_dir, limit)
+
+
+def _order_basis(
+    n: int,
+    cache_dir: Optional[str],
+    cap: int,
+    prev: Optional[list[Permutation]] = None,
+) -> list[Permutation]:
+    """The order-n basis: read from the cache, else one lift step from prev,
+    the order-(n - 1) basis, then written to the cache.
+
+    Without prev, the order-(n - 1) basis comes from build_basis under cap,
+    or the whole recursion from base_basis for orders up to 3.  A cache file
+    _load_cache does not trust is rebuilt and replaced.
+    """
     cache_dir = _resolve_cache_dir(cache_dir)
     if cache_dir is not None:
         cached = _load_cache(_cache_path(cache_dir, n), n)
         if cached is not None:
             return cached
-    if n <= 3:
+    if prev is not None:
+        result = _lift_step(n, prev)
+    elif n <= 3:
         result = base_basis(n)
     else:
-        result = _lift_step(n, build_basis(n - 1, cache_dir=cache_dir, cap=limit))
+        result = _lift_step(n, build_basis(n - 1, cache_dir=cache_dir, cap=cap))
     if cache_dir is not None:
         path = _cache_path(cache_dir, n)
         path.parent.mkdir(parents=True, exist_ok=True)

@@ -205,26 +205,31 @@ def assemble_system(G: TimeGraph, basis_perms: Sequence[Permutation]) -> LinearS
     two incidence columns.  Only the rows of each live missing edge's
     folded block are read (see _block): every other row of e is the sum of
     e's rows for lower e', so it never changes the solutions or the rank.
-    The zero masks of the blocks are ORed, every equal mask that meets the
-    zero mask is absorbed into it until none does, and the few equal masks
-    left are joined into components, each standing for its largest member;
-    no pass over the variables or over the units and links is made.  Each
-    wide row that meets a contracted variable is rewritten onto the roots
-    through its own permutations; a wide row of e for a missing e' < e is
-    skipped, as the row of (e', e) lies in the span of e''s block.  Zero
-    and duplicate rows are dropped; the value row comes last.
+    One pass over the live missing edges ORs the zero masks of their
+    blocks, gathers their equal masks and notes the edges with wide rows.
+    Every equal mask that meets the zero mask is absorbed into it until
+    none does, and the few equal masks left, if any, are joined into
+    components, each standing for its largest member; no pass over the
+    variables or over the units and links is made.  Each wide row of the
+    noted edges that meets a contracted variable is rewritten onto the
+    roots through its own permutations; a wide row of e for a missing
+    e' < e is skipped, as the row of (e', e) lies in the span of e''s
+    block.  Zero and duplicate rows are dropped; the value row comes last.
     """
     tables = _tables(G.n, basis_perms)
     cols, masks, live, blocks = tables
     nvars = len(masks)
-    # a missing edge outside live has no partners
-    missing = bit_indices(live & ~G.edges)
-    folded = [blocks[e] or _block(tables, e) for e in missing]
     zero = 0
     equal: list[int] = []
-    for z, eq, _ in folded:
+    widened = []  # (e, its wide rows) for the missing edges that have any
+    # a missing edge outside live has no partners
+    for e in bit_indices(live & ~G.edges):
+        z, eq, wide = blocks[e] or _block(tables, e)
         zero |= z
-        equal += eq
+        if eq:
+            equal += eq
+        if wide:
+            widened.append((e, wide))
     # a mask that meets a zero is zero throughout, and absorbing it may make
     # another mask meet the zero mask
     while True:
@@ -237,7 +242,7 @@ def assemble_system(G: TimeGraph, basis_perms: Sequence[Permutation]) -> LinearS
         if len(rest) == len(equal):
             break
         equal = rest
-    root_of, members = _components(map(bit_indices, equal))
+    root_of, members = _components(map(bit_indices, equal)) if equal else ({}, {})
     moved = 0  # the contracted variables that are not zero
     # the all-ones value row moved onto roots: a root keeps a one exactly
     # when its component has odd size
@@ -249,7 +254,7 @@ def assemble_system(G: TimeGraph, basis_perms: Sequence[Permutation]) -> LinearS
     nonzero = ~zero
     edges = G.edges
     kept = {}
-    for e, (_, _, wide) in zip(missing, folded):
+    for e, wide in widened:
         ce = cols[e] & nonzero
         for f, vs in wide:
             if f < e and not edges >> f & 1:

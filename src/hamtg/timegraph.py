@@ -175,13 +175,6 @@ class Graph(_Value):
         lines.extend(f"{a} {b}" for a, b in sorted(self.pairs))
         return "\n".join(lines) + "\n"
 
-    def adjacency(self) -> dict[int, set[int]]:
-        adj: dict[int, set[int]] = {v: set() for v in range(1, self.n + 1)}
-        for a, b in self.pairs:
-            adj[a].add(b)
-            adj[b].add(a)
-        return adj
-
 
 def identity(n: int) -> Permutation:
     return tuple(range(1, n + 1))
@@ -283,31 +276,36 @@ def reduce_hamp(g: Graph) -> TimeGraph:
     return TimeGraph(n, layer * (((1 << (n - 1) * n * n) - 1) // ((1 << n * n) - 1)))
 
 
-def _extend_path(adj: dict[int, set[int]], n: int, v: int, visited: set[int]) -> bool:
-    """Whether the path ending at v through visited extends to all n vertices.
+def _extend_path(adj: list[int], full: int, v: int, visited: int) -> bool:
+    """Whether the path ending at v through the vertex mask visited extends
+    to every vertex of full.  Vertices are numbered from 0, vertex i at
+    bit i, and adj[v] is the mask of v's neighbours, tried lowest first.
 
     A module-level function, not a closure: a recursive closure refers to
     itself through its own cell, so every search would leave a reference
     cycle for the cyclic garbage collector.
     """
-    if len(visited) == n:
+    if visited == full:
         return True
-    for w in sorted(adj[v]):
-        if w not in visited:
-            visited.add(w)
-            if _extend_path(adj, n, w, visited):
-                return True
-            visited.remove(w)
+    free = adj[v] & ~visited
+    while free:
+        w = free & -free
+        if _extend_path(adj, full, w.bit_length() - 1, visited | w):
+            return True
+        free ^= w
     return False
 
 
 def hamiltonian_path_oracle(g: Graph, cap: int | None = None) -> bool:
-    """Backtracking search for a Hamiltonian path."""
+    """Backtracking search for a Hamiltonian path over adjacency bitmasks."""
     limit = ORACLE_PATH_CAP if cap is None else cap
     if g.n > limit:
         raise OracleScaleError(f"oracle scale exceeded: n={g.n} > cap={limit}")
     n = g.n
-    if n == 1:
-        return True
-    adj = g.adjacency()
-    return any(_extend_path(adj, n, start, {start}) for start in range(1, n + 1))
+    # vertex v at bit v - 1
+    adj = [0] * n
+    for a, b in g.pairs:
+        adj[a - 1] |= 1 << b - 1
+        adj[b - 1] |= 1 << a - 1
+    full = (1 << n) - 1
+    return any(_extend_path(adj, full, v, 1 << v) for v in range(n))

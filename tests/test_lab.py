@@ -1,14 +1,15 @@
 import hashlib
 import io
+import itertools
 import json
 import random
 from pathlib import Path
 
 import pytest
 
-from hamtg import lab
+from hamtg import lab, liftbasis
 from hamtg.canonical import InternalInconsistencyError, build_canonical_basis
-from hamtg.gf2 import rank
+from hamtg.gf2 import Gf2Basis, rank
 from hamtg.lab import (
     audit_false_positive,
     check_conjecture1,
@@ -259,6 +260,35 @@ def test_crossval_random_is_deterministic():
     assert a == b
 
 
+# sha256 of json.dumps(result, sort_keys=True) for the exhaustive order-5
+# pass and a seeded order-6 sample: a changed count, witness or audit fails
+CROSSVAL_DIGESTS = [
+    ((5,), {}, "32a93e6db1d4979f50ee0843d2b554bb8069dea43f0dbd718db0c3b389adbce3"),
+    (
+        (6,),
+        {"exhaustive": False, "random_count": 24, "seed": 1},
+        "9417c3e44c553b01db8e3d7ff7212d5999ac5a000bfdea2c70b46d33ae2f6f81",
+    ),
+]
+
+
+@pytest.mark.parametrize("args, kwargs, digest", CROSSVAL_DIGESTS, ids=["n5", "n6-random"])
+def test_crossval_results_are_pinned(args, kwargs, digest):
+    result = json.dumps(crossval(*args, **kwargs), sort_keys=True)
+    assert hashlib.sha256(result.encode()).hexdigest() == digest
+
+
+def test_all_graphs_match_graphs_from_edges():
+    # crossval and the benchmark read this sequence, graph by graph
+    for n in range(1, 6):
+        pairs = list(itertools.combinations(range(1, n + 1), 2))
+        expected = [
+            Graph.from_edges(n, (pairs[k] for k in range(len(pairs)) if mask >> k & 1))
+            for mask in range(1 << len(pairs))
+        ]
+        assert list(lab._all_graphs(n)) == expected
+
+
 def _count_pair_sums(monkeypatch) -> list:
     calls = []
     pair_sum = lab.pair_sum
@@ -398,6 +428,45 @@ def test_recorded_dimensions_are_reproduced():
     max_n = rows[-1]["n"]
     assert max_n >= 7
     assert dimension_table(max_n, pair_max=max_n) == rows
+
+
+def test_dimension_table_lifts_each_order_once(monkeypatch):
+    # one lift step per order 2..6, from the order below; the inserts are
+    # the lift candidates plus the table's own pair rows, each n!
+    calls = {"lift": 0, "insert": 0}
+    lift_step, insert_raw = liftbasis._lift_step, Gf2Basis.insert_raw
+
+    def counted_lift(n, prev):
+        calls["lift"] += 1
+        return lift_step(n, prev)
+
+    def counted_insert(self, bits):
+        calls["insert"] += 1
+        return insert_raw(self, bits)
+
+    monkeypatch.setattr(liftbasis, "_lift_step", counted_lift)
+    monkeypatch.setattr(Gf2Basis, "insert_raw", counted_insert)
+    table = dimension_table(7, pair_max=6)
+    assert calls == {"lift": 5, "insert": 2 * (2 + 6 + 24 + 120 + 720)}
+    path = Path(__file__).resolve().parent.parent / "results" / "dimensions.json"
+    # the recorded rows, orders 2..7, with no pair span at order 7
+    expected = json.loads(path.read_text())["rows"][:6]
+    expected[5].update(dim_pair_span=None, lift_basis_size=None, consistent=None)
+    assert table == expected
+
+
+def test_dimension_table_reads_and_writes_each_order_in_the_cache(tmp_path, monkeypatch):
+    expected = dimension_table(5)
+    assert dimension_table(5, cache_dir=str(tmp_path)) == expected
+    for n in range(2, 6):
+        data = json.loads((tmp_path / f"pair_basis_n{n}.json").read_text())
+        assert data["permutations"] == [list(p) for p in build_basis(n)]
+
+    def no_lift(n, prev):
+        raise AssertionError(f"order {n} lifted with every order cached")
+
+    monkeypatch.setattr(liftbasis, "_lift_step", no_lift)
+    assert dimension_table(5, cache_dir=str(tmp_path)) == expected
 
 
 # ---------------------------------------------------------------------------

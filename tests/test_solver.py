@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import random
 
 import pytest
@@ -465,3 +467,14 @@ def test_tables_memo_follows_a_list_basis_mutated_in_place(monkeypatch):
     assert moved == decide_time_graph(T, rotated)
     assert moved.witness != first.witness
     assert calls[-1] == tuple(rotated)
+
+
+def test_order5_hamp_assembly_is_pinned():
+    # sha256 of the (rows, contracted) of every order-5 HAMP reduction, in
+    # crossval's order: a reordered, added or dropped row fails here
+    perms = build_basis(5)
+    systems = [assemble_system(reduce_hamp(g), perms) for g in lab._all_graphs(5)]
+    text = json.dumps([[list(s.rows), s.contracted] for s in systems])
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "aa1d240728bfdf48e9ca437ceaf703b96b8d0c36e8279f431489833c28d4506f"
+    )

@@ -169,10 +169,33 @@ def _all_graphs(n):
         )
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_reduction_equivalence_exhaustive(n):
     for g in _all_graphs(n):
         assert hamiltonian_path_oracle(g) == is_hamiltonian_oracle(reduce_hamp(g))
+
+
+@pytest.mark.parametrize(
+    "n, pairs, expected",
+    [
+        (1, [], True),
+        (2, [], False),
+        (2, [(1, 2)], True),
+        # disconnected: two edges, two triangles
+        (4, [(1, 2), (3, 4)], False),
+        (6, [(1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (4, 6)], False),
+        # an isolated vertex beside a path and beside a complete graph
+        (4, [(1, 2), (2, 3)], False),
+        (5, list(itertools.combinations(range(1, 5), 2)), False),
+        (5, [(1, 2), (2, 3), (3, 4)], False),
+        # the only paths run 3-1-4-2 and back, so the search backtracks
+        (4, [(1, 3), (1, 4), (2, 4)], True),
+    ],
+)
+def test_hamiltonian_path_oracle_small_and_disconnected_graphs(n, pairs, expected):
+    g = Graph.from_edges(n, pairs)
+    assert hamiltonian_path_oracle(g) is expected
+    assert is_hamiltonian_oracle(reduce_hamp(g)) is expected
 
 
 # ---------------------------------------------------------------------------
