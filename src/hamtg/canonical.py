@@ -233,7 +233,8 @@ def decompose(g: PairVector, cb: CanonicalBasis) -> Decomposition:
     gc = g ^ pair_sum(g.n, masks)
     if not diagonal(gc).is_zero():
         raise InternalInconsistencyError("residual is not a closed cycle")
-    layer_sums = tuple(EdgeVector(g.n, s) for s in sums)
+    empty = EdgeVector(g.n)  # most layer sums are zero; they share one
+    layer_sums = tuple(EdgeVector(g.n, s) if s else empty for s in sums)
     return Decomposition(tuple(alpha), gc, layer_sums)
 
 

@@ -7,6 +7,7 @@ from typing import Mapping
 
 import numpy as np
 
+from hamtg import solver
 from hamtg.gf2 import Gf2Basis, bit_indices
 from hamtg.lab import supported_coefficient_space
 from hamtg.permvec import EdgeVector, PairVector, pair_sum, support_mask
@@ -114,6 +115,56 @@ def assemble_rows_reference(G: TimeGraph, perms) -> list[int]:
                 seen.add(m)
                 rows.append(m)
     return rows
+
+
+def assemble_per_edge_reference(G: TimeGraph, perms) -> tuple:
+    """assemble_system's contracted system as (rows, raw_rows, contracted,
+    members), with the blocks of the live missing edges folded one edge at
+    a time in ascending order rather than a byte at a time; the absorption,
+    the components and the wide-row pass after the fold are assemble_system's.
+    """
+    tables = solver._tables(G.n, perms)
+    cols, masks, live = tables[:3]
+    nvars = len(masks)
+    zero = 0
+    equal: list[int] = []
+    widened = []
+    for e in bit_indices(live & ~G.edges):
+        z, eq, wide = solver._block(tables, e)
+        zero |= z
+        equal += eq
+        if wide:
+            widened.append((e, wide))
+    while True:
+        rest = []
+        for m in equal:
+            if m & zero:
+                zero |= m
+            else:
+                rest.append(m)
+        if len(rest) == len(equal):
+            break
+        equal = rest
+    root_of, members = solver._components(map(bit_indices, equal)) if equal else ({}, {})
+    moved = 0
+    value = ((1 << nvars) - 1) ^ zero
+    for r, m in members.items():
+        moved |= m ^ 1 << r
+        value ^= m ^ (m.bit_count() & 1) << r
+    kept = {}
+    for e, wide in widened:
+        for f, vs in wide:
+            if f < e and not G.has_index(f):
+                continue
+            row = cols[e] & cols[f] & ~zero
+            if row & moved:
+                for v in vs:
+                    if v in root_of:
+                        row ^= 1 << v | 1 << root_of[v]
+            kept[row] = None
+    kept.pop(0, None)
+    raw = 1 + len(G.complement_indices()) * len(cols)
+    return (*kept, value), raw, zero | moved, members
 
 
 def supported_subspace(G: TimeGraph, basis_perms) -> list[PairVector]:

@@ -1,7 +1,9 @@
+import functools
 import hashlib
 import itertools
 import json
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -31,6 +33,7 @@ from hamtg.timegraph import (
 )
 
 from helpers import (
+    assemble_per_edge_reference,
     assemble_rows_reference,
     path_graph,
     prefix_rank_profile,
@@ -335,7 +338,8 @@ def test_partners_are_each_blocks_rank_profile():
         for perms in (build_basis(n), build_basis(n)[::-1]):
             nvars = len(perms)
             tables = solver._basis_tables(n, tuple(perms))
-            cols, _, live, _ = tables
+            cols, _, live, _, chunks = tables
+            assert chunks == [{} for _ in range(-(-len(cols) // 8))]
             assert live == sum(1 << e for e, ce in enumerate(cols) if ce)
             assert list(cols) == [
                 sum(1 << i for i, p in enumerate(perms) if is_incident(edge_from_index(e, n), p))
@@ -360,7 +364,7 @@ def test_partners_are_each_blocks_rank_profile():
                 ]
                 assert len(folded) == len(small) == rank_oracle(folded, nvars)
                 assert rank_oracle(small + folded, nvars) == len(small)
-                assert solver._block(tables, e) is tables[-1][e]
+                assert solver._block(tables, e) is tables[3][e]
 
 
 def test_list_basis_decides_like_tuple_basis():
@@ -386,7 +390,9 @@ def test_corrupted_partner_table_never_gives_an_unchecked_yes(monkeypatch):
         for e in range(len(tables[0])):
             zero, equal, wide = solver._block(tables, e)
             blocks.append((zero & -zero, equal[:1], wide[:1]))
-        return (*tables[:-1], blocks)
+        # the chunk dicts are still empty, so every entry folds cut blocks
+        assert not any(tables[4])
+        return (*tables[:3], blocks, tables[4])
 
     monkeypatch.setattr(solver, "_basis_tables", truncated)
     # the memo still holds the honest tables of perms
@@ -401,6 +407,15 @@ def test_corrupted_partner_table_never_gives_an_unchecked_yes(monkeypatch):
         assert decision.answer == expected.answer
     # the search finds a no-instance the truncated rows would have passed
     assert any(not hamiltonian_path_oracle(g) for g in caught)
+    # and every chunk entry it read is the fold of the cut blocks
+    _, _, _, blocks, chunks = solver._last[2]
+    assert sum(map(len, chunks)) > 0
+    for j, chunk in enumerate(chunks):
+        for b, (zero, equal, widened) in chunk.items():
+            edges = bit_indices(b << 8 * j)
+            assert zero == functools.reduce(int.__or__, (blocks[e][0] for e in edges))
+            assert equal == tuple(m for e in edges for m in blocks[e][1])
+            assert widened == tuple((e, blocks[e][2]) for e in edges if blocks[e][2])
 
 
 def test_a_yes_decision_looks_up_the_basis_tables_once(monkeypatch):
@@ -478,3 +493,101 @@ def test_order5_hamp_assembly_is_pinned():
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "aa1d240728bfdf48e9ca437ceaf703b96b8d0c36e8279f431489833c28d4506f"
     )
+
+
+def test_order6_assembly_is_pinned():
+    # sha256 of the rows, contracted, components and raw_rows of 64 seeded
+    # random order-6 time-graphs, half at edge density 1/2 and half at 7/8
+    # (the OR of three draws), where wide rows and components are common
+    perms = build_basis(6)
+    rng = random.Random(2106)
+    size = edge_space_size(6)
+    graphs = [lab.random_time_graph(6, rng) for _ in range(32)]
+    graphs += [
+        TimeGraph(6, rng.getrandbits(size) | rng.getrandbits(size) | rng.getrandbits(size))
+        for _ in range(32)
+    ]
+    systems = [assemble_system(T, perms) for T in graphs]
+    text = json.dumps(
+        [[list(s.rows), s.contracted, sorted(s._members.items()), s.raw_rows] for s in systems]
+    )
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "2d215079bb315868cdd8403cfe7054de51c3c24f421df7bd790f302714d0c2f6"
+    )
+
+
+@st.composite
+def fold_time_graphs(draw):
+    """Random time-graphs of order 3 to 6 at edge density 1/2 or 7/8 (the
+    OR of three draws), or missing only edges of the last, partial byte of
+    the edge space (16-17 at order 3, 96-99 at order 5, 176-179 at order 6)."""
+    n = draw(st.integers(min_value=3, max_value=6))
+    size = edge_space_size(n)
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    edges = rng.getrandbits(size)
+    shape = draw(st.sampled_from(("half", "dense", "last byte")))
+    if shape == "dense":
+        edges |= rng.getrandbits(size) | rng.getrandbits(size)
+    elif shape == "last byte":
+        edges |= (1 << (size & ~7)) - 1
+    return TimeGraph(n, edges)
+
+
+def _check_fold(T, perms):
+    system = assemble_system(T, perms)
+    rows, raw, contracted, members = assemble_per_edge_reference(T, perms)
+    assert system.rows == rows
+    assert system.contracted == contracted
+    assert list(system._members.items()) == list(members.items())
+    assert system.raw_rows == raw
+    return system
+
+
+@settings(max_examples=120, deadline=None)
+@given(fold_time_graphs(), st.sampled_from(("tuples", "lists", "reversed")))
+def test_byte_fold_matches_the_per_edge_fold(T, form):
+    # the blocks of the missing edges folded a byte at a time give the same
+    # rows in the same order, the same contraction and the same components
+    # as folding them one edge at a time
+    perms = build_basis(T.n)
+    if form == "lists":
+        perms = [list(p) for p in perms]
+    elif form == "reversed":
+        perms = perms[::-1]
+    _check_fold(T, perms)
+
+
+def test_byte_fold_reads_the_last_partial_byte():
+    # every nonempty set of missing edges within the last, partial byte
+    for n in (3, 5, 6):
+        size = edge_space_size(n)
+        perms = build_basis(n)
+        constrained = 0
+        for last in range(1, 1 << size % 8):
+            system = _check_fold(TimeGraph(n, ((1 << size) - 1) ^ last << (size & ~7)), perms)
+            constrained += system.contracted != 0
+        # a self-loop alone, the last edge, constrains nothing
+        assert constrained == (1 << size % 8) - 2
+
+
+def test_chunk_tables_are_bounded_and_go_with_their_basis(monkeypatch):
+    # a basis of E edges has one dict per byte of the edge space, keyed by
+    # nonzero bytes of live edges only, so at most ceil(E/8) * 256 entries
+    monkeypatch.setattr(solver, "_last", None)
+    perms = build_basis(5)
+    rng = random.Random(5)
+    graphs = [reduce_hamp(g) for g in lab._all_graphs(5)]
+    graphs += [lab.random_time_graph(5, rng) for _ in range(200)]
+    for T in graphs:
+        assemble_system(T, perms)
+    _, _, live, _, chunks = solver._last[2]
+    assert len(chunks) == -(-edge_space_size(5) // 8) == 13
+    for j, chunk in enumerate(chunks):
+        byte = live >> 8 * j & 255
+        assert all(0 < b and not b & ~byte for b in chunk)
+    assert 0 < sum(map(len, chunks)) <= 13 * 256
+    # the last-basis memo holds the only reference: a second basis drops it
+    assert sys.getrefcount(chunks) == 3  # the memo's tables, ours, the call's
+    assemble_system(graphs[0], perms[::-1])
+    assert solver._last[2][4] is not chunks
+    assert sys.getrefcount(chunks) == 2
