@@ -26,7 +26,7 @@ import functools
 import random
 from typing import Optional, Sequence
 
-from .gf2 import _Value
+from .gf2 import _Value, _keep
 from .permvec import EdgeVector, PairVector, diagonal, pair_sum
 from .timegraph import (
     TimeGraph,
@@ -91,20 +91,6 @@ def _checked_order(
     return order
 
 
-def _keep(pivots: dict[int, int], r: int, column_bits: int) -> Optional[int]:
-    """Reduce r at the pivots it hits of an echelon keyed by lowest set bit
-    (as a power of two) and keep it there; None when kept, else what is
-    left once its column_bits cancel."""
-    while r & column_bits:
-        low = r & -r
-        hit = pivots.get(low)
-        if hit is None:
-            pivots[low] = r
-            return None
-        r ^= hit
-    return r
-
-
 @functools.cache
 def _spanning_edges(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The spanning edges of the order-n incidence matrix, whose column e
@@ -119,11 +105,10 @@ def _spanning_edges(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """
     through = permutations_through(n)
     size = len(permutation_table(n))
-    column_bits = (1 << size) - 1
     pivots: dict[int, int] = {}
     spanning, relations = [], []
     for e, ks in enumerate(through):
-        left = _keep(pivots, sum(1 << k for k in ks) | 1 << (size + e), column_bits)
+        left = _keep(pivots, sum(1 << k for k in ks) | 1 << (size + e), size)
         if left is None:
             spanning.append(e)
         else:
@@ -165,23 +150,22 @@ def build_canonical_basis(
     # off an echelon keyed by lowest bit of the spanning columns; bit i of
     # column e is set when candidate i goes through e, and bit size + e
     # records that the row combines e
-    column_bits = (1 << size) - 1
     bit = [0] * size
     for i, k in enumerate(candidates):
         bit[k] = 1 << i
     pivots: dict[int, int] = {}
     for e in _spanning_edges(G.n)[0]:
         r = sum(map(bit.__getitem__, through[e])) | 1 << (size + e)
-        if _keep(pivots, r, column_bits) is not None:
+        if _keep(pivots, r, size) is not None:
             raise InternalInconsistencyError("a spanning column is dependent")
     layers: list[list[BasisElement]] = [[] for _ in range(len(order) + 1)]
     echelon = []
-    for low in sorted(pivots):
-        k = candidates[low.bit_length() - 1]
+    for i in sorted(pivots):
+        k = candidates[i]
         li = layer_of[k]
         el = BasisElement(li, len(layers[li]), table[k][0])
         layers[li].append(el)
-        echelon.append((low, pivots[low], el))
+        echelon.append((1 << i, pivots[i], el))
     echelon.reverse()
     return CanonicalBasis(
         G, order, tuple(map(tuple, layers)), perm_seed, tuple(echelon)

@@ -2,11 +2,12 @@
 
 Vectors are arbitrary-precision Python integers of a fixed length (a
 ``BitVec`` here, an indicator vector in ``permvec``): addition is integer
-xor.  Elimination keeps an echelon keyed by lowest-set-bit pivot, against
-which a vector is reduced only at the pivots it hits: ``Gf2Basis`` for
-spans that report a vector's combination over the inserted originals, and
-``solve_system``'s own loop, which keeps only the rows, for one linear
-system.  All results are bit-exact.
+xor.  Every elimination in the package keeps an echelon keyed by the index
+of each row's lowest set bit and reduces a row only at the pivots it hits,
+in one loop, ``_keep``.  A row keeps its tags in the bits above the pivot
+range, where they ride along with every xor and are never pivots: the
+originals a ``Gf2Basis`` row combines, the rhs of a ``solve_system`` row,
+the edge of a canonical-basis column.  All results are bit-exact.
 """
 
 from __future__ import annotations
@@ -145,43 +146,47 @@ _EXTENDED = InsertResult(True)
 _DEPENDENT = InsertResult(False)
 
 
+def _keep(pivots: dict[int, int], r: int, below: int) -> Optional[int]:
+    """Reduce r at the pivots it hits of an echelon keyed by the index of
+    each row's lowest set bit.  When what is left has its lowest set bit
+    under index below, store it there and return None; else return it.
+
+    Callers keep a row's tags above every pivot, so the loop stops at the
+    first tag bit it meets; a query passes below=0 and stores nothing.
+    """
+    while r:
+        p = (r & -r).bit_length() - 1
+        hit = pivots.get(p)
+        if hit is None:
+            if p < below:
+                pivots[p] = r
+                return None
+            break
+        r ^= hit
+    return r
+
+
 class Gf2Basis:
     """Incremental GF(2) basis kept as an echelon keyed by pivot.
 
     Each stored row has a distinct pivot, its lowest set bit, and carries
-    its expression over the successfully inserted originals (the k-th
-    vector that extended the span is bit k), so that membership queries
-    also report the combination over the original vectors.  Rows are never
-    back-substituted: which vectors extend the span depends only on the
-    span, not on the echelon form.
+    its expression over the successfully inserted originals above bit
+    length (the k-th vector that extended the span at bit length + k), so
+    that membership queries also report the combination over the original
+    vectors.  Rows are never back-substituted: which vectors extend the
+    span depends only on the span, not on the echelon form.
     """
 
     def __init__(self, length: int):
         if length < 0:
             raise ValueError(f"negative length {length}")
         self.length = length
-        # pivot -> (row, row expression over originals as a bitmask)
-        self._rows: dict[int, tuple[int, int]] = {}
+        # pivot -> row, with its expression over the originals above length
+        self._rows: dict[int, int] = {}
 
     @property
     def rank(self) -> int:
         return len(self._rows)
-
-    def _reduce(self, r: int) -> tuple[int, int]:
-        """Clear r's low bits while they are pivots; returns (residual, combo).
-
-        The residual is zero exactly when r lies in the span; otherwise its
-        lowest set bit is not a pivot.
-        """
-        c = 0
-        rows = self._rows
-        while r:
-            hit = rows.get((r & -r).bit_length() - 1)
-            if hit is None:
-                break
-            r ^= hit[0]
-            c ^= hit[1]
-        return r, c
 
     def _check(self, v: Vector) -> None:
         if v.length != self.length:
@@ -189,18 +194,23 @@ class Gf2Basis:
                 f"length mismatch: basis {self.length} vs vector {v.length}"
             )
 
+    def _check_raw(self, bits: int) -> None:
+        # a set bit at or beyond length would be read as an original
+        if bits < 0 or bits >> self.length:
+            raise ValueError(f"set bits beyond basis length {self.length}")
+
     def insert(self, v: Vector) -> InsertResult:
         """Insert v; reports not extended when v is already in the span."""
         self._check(v)
         return self.insert_raw(v.bits)
 
     def insert_raw(self, bits: int) -> InsertResult:
-        r, c = self._reduce(bits)
-        if r == 0:
-            return _DEPENDENT
-        # one row per original, so the new original's bit is the row count
-        self._rows[(r & -r).bit_length() - 1] = (r, c ^ (1 << len(self._rows)))
-        return _EXTENDED
+        self._check_raw(bits)
+        # one row per original, so the new original's index is the rank
+        tag = 1 << (self.length + len(self._rows))
+        if _keep(self._rows, bits | tag, self.length) is None:
+            return _EXTENDED
+        return _DEPENDENT
 
     def coords(self, v: Vector) -> Optional[tuple[int, ...]]:
         """Indices of originals whose xor equals v, or None when v is outside the span."""
@@ -208,15 +218,15 @@ class Gf2Basis:
         return self.coords_raw(v.bits)
 
     def coords_raw(self, bits: int) -> Optional[tuple[int, ...]]:
-        r, c = self._reduce(bits)
-        if r:
+        self._check_raw(bits)
+        r = _keep(self._rows, bits, 0)
+        if r & ((1 << self.length) - 1):
             return None
-        return tuple(bit_indices(c))
+        return tuple(bit_indices(r >> self.length))
 
     def contains(self, v: Vector) -> bool:
         self._check(v)
-        r, _ = self._reduce(v.bits)
-        return r == 0
+        return not (_keep(self._rows, v.bits, 0) & ((1 << self.length) - 1))
 
 
 def rank(vectors: Sequence[Vector]) -> int:
@@ -236,18 +246,12 @@ def column_rank_profile(cols: Iterable[int], nrows: int) -> list[int]:
     span, read off an echelon keyed by lowest bit; zero columns may be
     left out.
     """
-    pivots: dict[int, int] = {}  # lowest set bit, as a power of two -> row
+    pivots: dict[int, int] = {}
     for r in cols:
         if r < 0 or r >> nrows:
             raise ValueError(f"column has set bits beyond {nrows} rows")
-        while r:
-            low = r & -r
-            hit = pivots.get(low)
-            if hit is None:
-                pivots[low] = r
-                break
-            r ^= hit
-    return sorted(low.bit_length() - 1 for low in pivots)
+        _keep(pivots, r, nrows)
+    return sorted(pivots)
 
 
 class LinearSolveResult(_Value):
@@ -289,27 +293,18 @@ def solve_system(
 ) -> LinearSolveResult:
     """Solve the system given by equation rows (variable masks) and rhs bits.
 
-    Each augmented row (rhs at bit nvars) is reduced at the pivots it hits
-    of an echelon keyed by lowest set bit.  Stops at the first row that
-    reduces to 0 = 1; the reported rank then covers only the rows seen up
-    to that witness.
+    Each augmented row, the rhs a tag at bit nvars, is reduced at the pivots
+    it hits of an echelon keyed by lowest set bit.  Stops at the first row
+    that reduces to 0 = 1; the reported rank then covers only the rows seen
+    up to that witness.
     """
     inconsistent = 1 << nvars
     pivots: dict[int, int] = {}
     for row, b in zip(rows, rhs):
         if row < 0 or row >> nvars:
             raise ValueError(f"row has coefficients beyond {nvars} variables")
-        r = row | (b & 1) << nvars
-        while r:
-            p = (r & -r).bit_length() - 1
-            hit = pivots.get(p)
-            if hit is None:
-                # bit nvars is never a pivot, so 0 = 1 ends up here
-                if r == inconsistent:
-                    return LinearSolveResult(False, None, len(pivots), None, nvars)
-                pivots[p] = r
-                break
-            r ^= hit
+        if _keep(pivots, row | (b & 1) << nvars, nvars) == inconsistent:
+            return LinearSolveResult(False, None, len(pivots), None, nvars)
     # with free variables zero, each pivot variable is its row's rhs plus the
     # parity of the already-solved higher pivots the row meets
     x = 0

@@ -1,3 +1,5 @@
+import functools
+import operator
 import random
 
 import pytest
@@ -8,6 +10,8 @@ from hamtg.gf2 import (
     BitVec,
     Gf2Basis,
     LengthMismatchError,
+    _keep,
+    bit_indices,
     column_rank_profile,
     rank,
     solve_system,
@@ -99,6 +103,29 @@ def test_coords_recover_random_combination():
 def test_basis_length_mismatch():
     with pytest.raises(LengthMismatchError):
         Gf2Basis(4).insert(bv(5, 0))
+    basis = Gf2Basis(4)
+    basis.insert(bv(4, 1))
+    for method in (basis.insert, basis.coords, basis.contains):
+        for v in (bv(5, 0), bv(3, 0), bv(0)):
+            with pytest.raises(LengthMismatchError):
+                method(v)
+    assert basis.rank == 1
+
+
+def test_raw_entry_points_reject_bits_beyond_length():
+    # the k-th original is kept at bit length + k of each row, so a stray
+    # bit there would be read as a combination of originals
+    for length in (0, 1, 4):
+        basis = Gf2Basis(length)
+        for k in range(length):
+            basis.insert_raw(1 << k)
+        for bits in (1 << length, 1 << length | 1, 1 << (2 * length + 1), -1):
+            with pytest.raises(ValueError):
+                basis.insert_raw(bits)
+            with pytest.raises(ValueError):
+                basis.coords_raw(bits)
+        assert basis.rank == length
+        assert basis.coords_raw((1 << length) - 1) == tuple(range(length))
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +218,10 @@ def test_column_rank_profile_matches_prefix_ranks(case, rnd):
     length, rows = case
     cols = [c for c in _columns(rows, length) if c]
     rnd.shuffle(cols)
-    assert column_rank_profile(cols, len(rows)) == prefix_rank_profile(rows, length)
+    kept = column_rank_profile(cols, len(rows))
+    assert kept == prefix_rank_profile(rows, length)
+    ranks = [rank_oracle(rows[:i], length) for i in range(len(rows) + 1)]
+    assert kept == [i for i in range(len(rows)) if ranks[i + 1] > ranks[i]]
 
 
 def test_column_rank_profile_rejects_tall_columns():
@@ -356,3 +386,89 @@ def test_solve_system_matches_oracle(nvars, nrows, density, planted, rnd):
         assert vec & free_mask == 1 << f
         for r in eq_rows:
             assert (r & vec).bit_count() & 1 == 0
+
+
+# ---------------------------------------------------------------------------
+# the shared reduction step, under each tag convention: the originals above
+# the basis length, no tags, the rhs at bit nvars, a row index above the
+# columns
+
+
+def test_tiny_bases():
+    empty = Gf2Basis(0)
+    assert not empty.insert_raw(0).extended
+    assert empty.rank == 0
+    assert empty.coords_raw(0) == () and empty.contains(bv(0))
+    one = Gf2Basis(1)
+    assert one.coords_raw(1) is None and not one.contains(bv(1, 0))
+    assert one.insert_raw(1).extended and not one.insert_raw(1).extended
+    assert not one.insert_raw(0).extended
+    assert one.rank == 1
+    assert one.coords_raw(1) == (0,) and one.coords_raw(0) == ()
+    assert one.contains(bv(1, 0))
+
+
+basis_cases = st.integers(0, 9).flatmap(
+    lambda length: st.tuples(
+        st.just(length),
+        st.lists(st.integers(0, (1 << length) - 1), max_size=12),
+        st.lists(st.integers(0, (1 << length) - 1), max_size=6),
+    )
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(basis_cases)
+def test_basis_steps_match_rank_oracle(case):
+    length, inserted, queries = case
+    basis = Gf2Basis(length)
+    originals = []
+    for r in inserted:
+        grows = rank_oracle(originals + [r], length) > len(originals)
+        assert basis.insert_raw(r).extended == grows
+        if grows:
+            originals.append(r)
+        assert basis.rank == len(originals)
+    for r in queries + inserted:
+        combo = basis.coords_raw(r)
+        assert basis.contains(BitVec(length, r)) == (combo is not None)
+        if rank_oracle(originals + [r], length) > len(originals):
+            assert combo is None
+            continue
+        assert list(combo) == sorted(set(combo))
+        back = 0
+        for k in combo:
+            back ^= originals[k]
+        assert back == r
+
+
+def test_solve_system_finds_zero_equals_one_after_hitting_pivots():
+    # the last row meets every pivot before it is left as 0 = 1
+    for nvars, rows, rhs in (
+        (2, [0b11, 0b10, 0b01], [1, 0, 0]),
+        (3, [0b011, 0b110, 0b100, 0b101], [1, 0, 0, 0]),
+    ):
+        aug = [r | b << nvars for r, b in zip(rows, rhs)]
+        assert rank_oracle(aug, nvars + 1) > rank_oracle(rows, nvars)
+        assert solve_system(rows[:-1], rhs[:-1], nvars).consistent
+        res = solve_system(rows, rhs, nvars)
+        assert not res.consistent and res.rank == rank_oracle(rows[:-1], nvars)
+
+
+@settings(max_examples=150, deadline=None)
+@given(profile_cases)
+def test_keep_leaves_the_tags_of_a_dependent_row(case):
+    # row i carries bit length + i; a row that is not kept is left with the
+    # tags of rows before it, and itself, whose columns sum to zero
+    length, rows = case
+    pivots = {}
+    for i, r in enumerate(rows):
+        grows = rank_oracle(rows[: i + 1], length) > rank_oracle(rows[:i], length)
+        left = _keep(pivots, r | 1 << (length + i), length)
+        assert (left is None) == grows
+        if left is not None:
+            assert left & ((1 << length) - 1) == 0 and left >> (length + i) == 1
+            assert functools.reduce(
+                operator.xor, (rows[j] for j in bit_indices(left >> length)), 0
+            ) == 0
+    assert len(pivots) == rank_oracle(rows, length)

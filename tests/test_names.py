@@ -8,7 +8,9 @@ walked with ``dis``.  An import left behind by a deletion is found on the
 module's syntax tree, and so is an ``assert`` statement: ``python -O``
 strips those, so no check in the package may rely on one.  So is a value
 type's ``__init__`` that only stores its arguments: ``gf2._Value`` writes
-that one for every subclass that leaves it out.
+that one for every subclass that leaves it out.  And so is a loop that
+reduces a row at lowest-set-bit pivots: every echelon in the package
+reduces through ``gf2._keep``, the only such loop.
 """
 
 import ast
@@ -227,6 +229,116 @@ def test_check_reports_a_constructor_that_only_stores(tmp_path):
         "        _set(self, 'a', a)\n"
     )
     assert storing_constructors(src) == ["sample.Plain", "sample.Derived"]
+
+
+def _own_nodes(loop: ast.AST):
+    """The nodes of a loop's body, not entering nested loops or functions."""
+    nested = (ast.For, ast.While, ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+    todo = [*loop.body, *loop.orelse]
+    while todo:
+        node = todo.pop()
+        yield node
+        if not isinstance(node, nested):
+            todo += ast.iter_child_nodes(node)
+
+
+def _is_lookup(node: ast.AST, looked_up: set[str]) -> bool:
+    """Whether node is m[k], m.get(k), or a name bound to either."""
+    if isinstance(node, ast.Name):
+        return node.id in looked_up
+    return isinstance(node, ast.Subscript) or (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "get"
+    )
+
+
+def _reduces_at_lowest_bit(loop: ast.AST) -> bool:
+    """Whether the loop takes some r's lowest set bit, r & -r, and xors into
+    r a row it looked up: one step of reduction against an echelon."""
+    nodes = list(_own_nodes(loop))
+    lowest = {
+        node.left.id
+        for node in nodes
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitAnd)
+        and isinstance(node.left, ast.Name)
+        and isinstance(node.right, ast.UnaryOp) and isinstance(node.right.op, ast.USub)
+        and isinstance(node.right.operand, ast.Name)
+        and node.right.operand.id == node.left.id
+    }
+    looked_up = {
+        target.id
+        for node in nodes
+        if isinstance(node, ast.Assign) and _is_lookup(node.value, set())
+        for target in node.targets
+        if isinstance(target, ast.Name)
+    }
+    return any(
+        isinstance(node, ast.AugAssign) and isinstance(node.op, ast.BitXor)
+        and isinstance(node.target, ast.Name) and node.target.id in lowest
+        and _is_lookup(node.value, looked_up)
+        for node in nodes
+    )
+
+
+def reduction_loops(path: Path) -> list[str]:
+    """'module.function' per loop that reduces at lowest-set-bit pivots."""
+    tree = ast.parse(path.read_text(), str(path))
+    owner = {}
+    for func in ast.walk(tree):
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            # ast.walk goes outside in, so a nested function names its nodes last
+            owner.update(dict.fromkeys(ast.walk(func), func.name))
+    return [
+        f"{path.stem}.{owner.get(node, '<module>')}"
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.For, ast.While)) and _reduces_at_lowest_bit(node)
+    ]
+
+
+def test_one_loop_reduces_at_lowest_bit_pivots():
+    paths = sorted(PACKAGE_DIR.glob("*.py"))
+    assert len(paths) >= 9
+    assert [msg for path in paths for msg in reduction_loops(path)] == ["gf2._keep"]
+
+
+def test_check_reports_a_second_reduction_loop(tmp_path):
+    src = tmp_path / "sample.py"
+    src.write_text(
+        "def keep(pivots, r):\n"
+        "    while r:\n"
+        "        p = (r & -r).bit_length() - 1\n"
+        "        hit = pivots.get(p)\n"
+        "        if hit is None:\n"
+        "            break\n"
+        "        r ^= hit\n"
+        "    return r\n"
+        "class Basis:\n"
+        "    def reduce(self, r):\n"
+        "        c = 0\n"
+        "        for _ in range(len(self.rows)):\n"
+        "            low = r & -r\n"
+        "            if low not in self.rows:\n"
+        "                break\n"
+        "            r ^= self.rows[low][0]\n"
+        "            c ^= self.rows[low][1]\n"
+        "        return r, c\n"
+        "def bits(x):\n"
+        "    out = []\n"
+        "    while x:\n"
+        "        low = x & -x\n"
+        "        out.append(low)\n"
+        "        x ^= low\n"
+        "    return out\n"
+        "def fold(table, m):\n"
+        "    acc = 0\n"
+        "    while m:\n"
+        "        low = m & -m\n"
+        "        acc ^= table[low.bit_length() - 1]\n"
+        "        m ^= low\n"
+        "    return acc\n"
+    )
+    assert reduction_loops(src) == ["sample.keep", "sample.reduce"]
 
 
 def test_exports_match_the_package():
