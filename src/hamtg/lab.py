@@ -25,12 +25,13 @@ from .canonical import (
     CanonicalBasis,
     Decomposition,
     InternalInconsistencyError,
+    _spanning_edges,
     _tail_parities,
     build_canonical_basis,
     decompose,
     tail_sum_check,
 )
-from .gf2 import Gf2Basis, _Value, bit_indices, column_rank_profile, solve_system
+from .gf2 import Gf2Basis, _Value, bit_indices, solve_system
 from .liftbasis import _order_basis, base_basis, build_basis
 from .permvec import (
     PairVector,
@@ -51,7 +52,6 @@ from .timegraph import (
     incident_mask,
     incident_permutations,
     permutation_table,
-    permutations_through,
     reduce_hamp,
 )
 
@@ -507,7 +507,8 @@ def dimension_table(
 
     The pair-span columns stop at pair_max; where both are computed the
     lift basis size must equal the brute-force pair rank.  The edge rank is
-    the column rank of the permutations' edge incidence matrix; the pair
+    the column rank of the permutations' edge incidence matrix, the size
+    of the spanning set of edges the canonical builder keeps; the pair
     rank is taken over compact pair rows, which keep the rank for the
     reason given in liftbasis._lift_step.  Each order's lift basis is one
     lift step from the order below, so the recursion runs once in all.
@@ -516,12 +517,10 @@ def dimension_table(
     out = []
     basis = base_basis(1)
     for n in range(2, max_n + 1):
-        table = permutation_table(n)
-        cols = [sum(1 << k for k in ks) for ks in permutations_through(n)]
         row = {
             "n": n,
             "edges": edge_space_size(n),
-            "dim_edge_span": len(column_rank_profile(cols, len(table))),
+            "dim_edge_span": len(_spanning_edges(n)[0]),
             "dim_pair_span": None,
             "lift_basis_size": None,
             "consistent": None,
@@ -529,7 +528,7 @@ def dimension_table(
         if n <= pair_max:
             coords = pair_coordinates(n)
             pair_rows = Gf2Basis(len(coords))
-            for p, _, _ in table:
+            for p, _, _ in permutation_table(n):
                 pair_rows.insert_raw(_pair_row(coords, p))
             basis = _order_basis(n, cache_dir, pair_max, prev=basis)
             row["dim_pair_span"] = pair_rows.rank

@@ -11,7 +11,7 @@ is surfaced as a counterexample candidate rather than an error.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .canonical import InternalInconsistencyError
 from .gf2 import _Value, bit_indices, column_rank_profile, solve_system
@@ -91,19 +91,13 @@ def incidence_columns(n: int, basis_perms: Sequence[Permutation]) -> list[int]:
 # - masks, per basis permutation, its incident edge mask;
 # - live, the mask of the edges with a nonzero column (no self-loop is
 #   ever live), the only edges whose rows or witness checks can be nonzero;
-# - blocks, per edge, its folded block of pair rows as _block gives it,
-#   filled on the edge's first use, so a decision pays only for its
-#   missing edges;
 # - chunks, per byte of the edge space, a dict from a byte of live edges
-#   to the fold of their blocks as _chunk gives it, filled on first use
-#   (the method of four Russians: Albrecht, Bard and Hart, "Algorithm
-#   898", ACM TOMS 2010).
+#   to the fold of their blocks of pair rows as _chunk gives it, filled on
+#   first use, so a decision pays only for its missing edges (the method of
+#   four Russians: Albrecht, Bard and Hart, "Algorithm 898", ACM TOMS 2010).
 _Wide = tuple[tuple[int, tuple[int, ...]], ...]
-_Block = tuple[int, tuple[int, ...], _Wide]
 _Chunk = tuple[int, tuple[int, ...], tuple[tuple[int, _Wide], ...]]
-_BasisTables = tuple[
-    tuple[int, ...], tuple[int, ...], int, list[Optional[_Block]], list[dict[int, _Chunk]]
-]
+_BasisTables = tuple[tuple[int, ...], tuple[int, ...], int, list[dict[int, _Chunk]]]
 
 
 def _basis_tables(n: int, basis_perms: tuple[Permutation, ...]) -> _BasisTables:
@@ -112,21 +106,38 @@ def _basis_tables(n: int, basis_perms: tuple[Permutation, ...]) -> _BasisTables:
     live = 0
     for m in masks:
         live |= m
-    chunks = [{} for _ in range(-(-len(cols) // 8))]
-    return tuple(cols), masks, live, [None] * len(cols), chunks
+    return tuple(cols), masks, live, [{} for _ in range(-(-len(cols) // 8))]
 
 
-def _components(groups: Iterable[Sequence[int]]) -> tuple[dict[int, int], dict[int, int]]:
-    """The components of variables joined by the groups, each of two or more
-    variables, as (var -> root for every member but the root, root -> mask
-    of its component); a root is its component's largest member.
+def _fold(zero: int, masks: list[int]) -> tuple[int, dict[int, int], dict[int, int]]:
+    """Contract the rows alpha_a = 0 for the bits a of zero and, per mask
+    of two or more variables, alpha_a = alpha_b for any two of its bits
+    (the structured-elimination step of sparse GF(2) solvers: LaMacchia and
+    Odlyzko, CRYPTO '90), as (zero, root_of, members).
 
-    A union-find keyed by member, with path halving; parent[v] > v throughout.
+    A mask that meets the zero mask is zero throughout, and absorbing it
+    may make another mask meet the zero mask, so the returned zero is the
+    least superset of the given one that absorbs every mask meeting it.
+    The masks left are joined into components, each standing for its
+    largest member, its root: root_of maps every member but the root to
+    it, and members maps each root to the mask of its component, highest
+    non-root member first.  A union-find keyed by member, with path
+    halving; parent[v] > v throughout.
     """
+    while True:
+        rest = []
+        for m in masks:
+            if m & zero:
+                zero |= m
+            else:
+                rest.append(m)
+        if len(rest) == len(masks):
+            break
+        masks = rest
     parent: dict[int, int] = {}
-    for vs in groups:
+    for m in masks:
         roots = set()
-        for v in vs:
+        for v in bit_indices(m):
             while (p := parent.get(v, v)) != v:
                 parent[v] = v = parent.get(p, p)
             roots.add(v)
@@ -140,71 +151,61 @@ def _components(groups: Iterable[Sequence[int]]) -> tuple[dict[int, int], dict[i
         p = parent[v]
         parent[v] = r = parent.get(p, p)
         members[r] = members.get(r, 1 << r) | 1 << v
-    return parent, members
-
-
-def _block(tables: _BasisTables, e: int) -> _Block:
-    """Edge e's block of pair rows cols[e] & cols[f], folded, as
-    (zero, equal, wide).
-
-    Kept are the rows for the f whose row extends the span of e's rows for
-    lower f (the block's rank profile).  A row of one permutation forces it
-    to 0 and a row of two forces them equal; these are folded into zero,
-    the mask of the permutations they force to 0 (closed under the rows
-    of two), and equal, the disjoint masks of the permutations they force
-    equal and not to 0.  A wide row (f, (a, b, c, ...)) has three or more
-    permutations, ascending, and the wide rows ascend in f.  Built on e's
-    first use and kept in the tables.
-    """
-    cols, masks, _, blocks, _ = tables
-    block = blocks[e]
-    if block is None:
-        ce = cols[e]
-        zero = 0
-        links, wide = [], []
-        # in e's block the column of a basis permutation through e is its
-        # incident mask and every other column is zero, so the block's rank
-        # profile needs only those few masks
-        for f in column_rank_profile([masks[i] for i in bit_indices(ce)], len(cols)):
-            # row f of the block lists the permutations through e and f
-            vs = bit_indices(ce & cols[f])
-            if len(vs) == 1:
-                zero |= 1 << vs[0]
-            elif len(vs) == 2:
-                links.append(vs)
-            else:
-                wide.append((f, tuple(vs)))
-        equal = []
-        for m in _components(links)[1].values():
-            if m & zero:
-                zero |= m
-            else:
-                equal.append(m)
-        blocks[e] = block = (zero, tuple(equal), tuple(wide))
-    return block
+    return zero, parent, members
 
 
 def _chunk(tables: _BasisTables, j: int, b: int) -> _Chunk:
-    """The blocks of the live edges 8j + k for the bits k of b, folded in
-    ascending edge order as (zero, equal, widened): their zero masks ORed,
-    their equal masks concatenated, and (e, wide) for each edge e with wide
-    rows.  Built on first use and kept in the tables.
+    """The blocks of pair rows of the edges 8j + k for the bits k of b,
+    folded, as (zero, equal, widened).  Built on first use and kept in the
+    tables.
+
+    A byte of one edge e holds e's block: the rows cols[e] & cols[f] for
+    the f whose row extends the span of e's rows for lower f (the block's
+    rank profile).  A row of one permutation forces it to 0 and a row of
+    two forces them equal; _fold contracts these into zero, the mask of
+    the permutations they force to 0, and equal, the disjoint masks of the
+    permutations they force equal and not to 0.  Each wide row (f, (a, b,
+    c, ...)) has three or more permutations, ascending, and widened is
+    ((e, wide rows ascending in f),), or () when e has none.  A byte of
+    several edges holds the blocks of its bits in ascending edge order:
+    their zero masks ORed and their equal masks and widened concatenated.
 
     A basis of E edges has at most ceil(E/8) * 256 entries: 3,328 at order
-    5, 5,888 at order 6 and about 14k at order 8.  crossval(5) fills 779.
+    5, 5,888 at order 6 and about 14k at order 8.  crossval(5) fills 795.
     """
-    blocks = tables[3]
+    cols, masks, _, chunks = tables
+    chunk = chunks[j]
+    if b & (b - 1):
+        zero = 0
+        equal: list[int] = []
+        widened: list[tuple[int, _Wide]] = []
+        for k in bit_indices(b):
+            z, eq, w = chunk.get(1 << k) or _chunk(tables, j, 1 << k)
+            zero |= z
+            equal += eq
+            widened += w
+        chunk[b] = entry = (zero, tuple(equal), tuple(widened))
+        return entry
+    e = 8 * j + b.bit_length() - 1
+    ce = cols[e]
     zero = 0
-    equal: list[int] = []
-    widened = []
-    for e in bit_indices(b << 8 * j):
-        z, eq, wide = blocks[e] or _block(tables, e)
-        zero |= z
-        equal += eq
-        if wide:
-            widened.append((e, wide))
-    tables[4][j][b] = chunk = (zero, tuple(equal), tuple(widened))
-    return chunk
+    links, wide = [], []
+    # in e's block the column of a basis permutation through e is its
+    # incident mask and every other column is zero, so the block's rank
+    # profile needs only those few masks
+    for f in column_rank_profile([masks[i] for i in bit_indices(ce)], len(cols)):
+        # row f of the block lists the permutations through e and f
+        row = ce & cols[f]
+        size = row.bit_count()
+        if size == 1:
+            zero |= row
+        elif size == 2:
+            links.append(row)
+        else:
+            wide.append((f, tuple(bit_indices(row))))
+    zero, _, members = _fold(zero, links)
+    chunk[b] = entry = (zero, tuple(members.values()), ((e, tuple(wide)),) if wide else ())
+    return entry
 
 
 # the last (n, permutations as tuples, tables) that _tables gave
@@ -235,24 +236,23 @@ def assemble_system(G: TimeGraph, basis_perms: Sequence[Permutation]) -> LinearS
     The pair constraint coefficient for basis element i is 1 exactly when
     both e and e' are incident on permutation i, so each row is the AND of
     two incidence columns.  Only the rows of each live missing edge's
-    folded block are read (see _block): every other row of e is the sum of
-    e's rows for lower e', so it never changes the solutions or the rank.
+    block are read (see _chunk): every other row of e is the sum of e's
+    rows for lower e', so it never changes the solutions or the rank.
     The live missing edges are read a byte of the edge space at a time,
     and each nonzero byte is one lookup of its edges' blocks already
-    folded (see _chunk): one pass over at most ceil(E/8) bytes ORs the
-    zero masks of the blocks, gathers their equal masks and notes the
-    edges with wide rows, all in ascending edge order.
-    Every equal mask that meets the zero mask is absorbed into it until
-    none does, and the few equal masks left, if any, are joined into
-    components, each standing for its largest member; no pass over the
-    variables or over the units and links is made.  Each wide row of the
-    noted edges that meets a contracted variable is rewritten onto the
+    folded: one pass over at most ceil(E/8) bytes ORs the zero masks of
+    the blocks, gathers their equal masks and notes the edges with wide
+    rows, all in ascending edge order.  The equal masks, if any, are
+    contracted into the zero mask and components of variables by _fold;
+    no pass over the variables or over the units and links is made.
+    Each wide row of the noted edges that meets a contracted variable is
+    rewritten onto the
     roots through its own permutations; a wide row of e for a missing
     e' < e is skipped, as the row of (e', e) lies in the span of e''s
     block.  Zero and duplicate rows are dropped; the value row comes last.
     """
     tables = _tables(G.n, basis_perms)
-    cols, masks, live, _, chunks = tables
+    cols, masks, live, chunks = tables
     nvars = len(masks)
     zero = 0
     equal: list[int] = []
@@ -266,19 +266,10 @@ def assemble_system(G: TimeGraph, basis_perms: Sequence[Permutation]) -> LinearS
                 equal += eq
             if wide:
                 widened += wide
-    # a mask that meets a zero is zero throughout, and absorbing it may make
-    # another mask meet the zero mask
-    while True:
-        rest = []
-        for m in equal:
-            if m & zero:
-                zero |= m
-            else:
-                rest.append(m)
-        if len(rest) == len(equal):
-            break
-        equal = rest
-    root_of, members = _components(map(bit_indices, equal)) if equal else ({}, {})
+    if equal:
+        zero, root_of, members = _fold(zero, equal)
+    else:
+        root_of, members = {}, {}
     moved = 0  # the contracted variables that are not zero
     # the all-ones value row moved onto roots: a root keeps a one exactly
     # when its component has odd size

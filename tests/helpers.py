@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
+import functools
 import random
 from typing import Mapping
 
 import numpy as np
 
-from hamtg import solver
-from hamtg.gf2 import Gf2Basis, bit_indices
+from hamtg.gf2 import Gf2Basis, bit_indices, column_rank_profile
 from hamtg.lab import supported_coefficient_space
 from hamtg.permvec import EdgeVector, PairVector, pair_sum, support_mask
 from hamtg.timegraph import (
@@ -117,22 +117,61 @@ def assemble_rows_reference(G: TimeGraph, perms) -> list[int]:
     return rows
 
 
+def fold_reference(zero: int, masks) -> tuple[int, dict[int, int], dict[int, int]]:
+    """solver._fold by brute force: the zero mask grown while some mask
+    meets it without lying inside it, then the connected components of the
+    overlap graph of the masks left, found by merging each mask with every
+    component it meets; each component is keyed by its largest member, and
+    the components come highest non-root member first."""
+    while any(m & zero and m & ~zero for m in masks):
+        for m in masks:
+            if m & zero:
+                zero |= m
+    comps: list[int] = []
+    for m in masks:
+        if not m & zero:
+            comps = [c for c in comps if not c & m] + [
+                functools.reduce(int.__or__, (c for c in comps if c & m), m)
+            ]
+    comps.sort(key=lambda c: bit_indices(c)[-2], reverse=True)
+    members = {c.bit_length() - 1: c for c in comps}
+    root_of = {v: r for r, c in members.items() for v in bit_indices(c)[:-1]}
+    return zero, root_of, members
+
+
 def assemble_per_edge_reference(G: TimeGraph, perms) -> tuple:
     """assemble_system's contracted system as (rows, raw_rows, contracted,
-    members), with the blocks of the live missing edges folded one edge at
-    a time in ascending order rather than a byte at a time; the absorption,
-    the components and the wide-row pass after the fold are assemble_system's.
+    members), with no table of the solver: each live missing edge's block
+    is built and folded on its own, in ascending edge order, as the rank
+    profile of its pair rows with the components of its rows of two found
+    first and those meeting its rows of one absorbed after; the equal masks
+    gathered are then absorbed into the zero mask until none meets it, and
+    the rest joined into components by fold_reference.
     """
-    tables = solver._tables(G.n, perms)
-    cols, masks, live = tables[:3]
+    size = edge_space_size(G.n)
+    masks = [incident_mask(p) for p in perms]
+    cols = [sum(1 << i for i, m in enumerate(masks) if m >> e & 1) for e in range(size)]
     nvars = len(masks)
     zero = 0
     equal: list[int] = []
     widened = []
-    for e in bit_indices(live & ~G.edges):
-        z, eq, wide = solver._block(tables, e)
-        zero |= z
-        equal += eq
+    for e in range(size):
+        if G.has_index(e) or not cols[e]:
+            continue
+        links, wide = [], []
+        for f in column_rank_profile([masks[i] for i in bit_indices(cols[e])], size):
+            row = cols[e] & cols[f]
+            if row.bit_count() == 1:
+                zero |= row
+            elif row.bit_count() == 2:
+                links.append(row)
+            else:
+                wide.append((f, tuple(bit_indices(row))))
+        for m in fold_reference(0, links)[2].values():
+            if m & zero:
+                zero |= m
+            else:
+                equal.append(m)
         if wide:
             widened.append((e, wide))
     while True:
@@ -145,7 +184,7 @@ def assemble_per_edge_reference(G: TimeGraph, perms) -> tuple:
         if len(rest) == len(equal):
             break
         equal = rest
-    root_of, members = solver._components(map(bit_indices, equal)) if equal else ({}, {})
+    _, root_of, members = fold_reference(zero, equal)
     moved = 0
     value = ((1 << nvars) - 1) ^ zero
     for r, m in members.items():

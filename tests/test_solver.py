@@ -35,6 +35,7 @@ from hamtg.timegraph import (
 from helpers import (
     assemble_per_edge_reference,
     assemble_rows_reference,
+    fold_reference,
     path_graph,
     prefix_rank_profile,
     rank_oracle,
@@ -338,7 +339,7 @@ def test_partners_are_each_blocks_rank_profile():
         for perms in (build_basis(n), build_basis(n)[::-1]):
             nvars = len(perms)
             tables = solver._basis_tables(n, tuple(perms))
-            cols, _, live, _, chunks = tables
+            cols, _, live, chunks = tables
             assert chunks == [{} for _ in range(-(-len(cols) // 8))]
             assert live == sum(1 << e for e, ce in enumerate(cols) if ce)
             assert list(cols) == [
@@ -346,7 +347,11 @@ def test_partners_are_each_blocks_rank_profile():
                 for e in range(edge_space_size(n))
             ]
             for e, ce in enumerate(cols):
-                zero, equal, wide = solver._block(tables, e)
+                entry = solver._chunk(tables, e // 8, 1 << e % 8)
+                zero, equal, widened = entry
+                wide = widened[0][1] if widened else ()
+                # e's byte entry is its block, its wide rows noted under e
+                assert widened == (((e, wide),) if wide else ())
                 block = [ce & c for c in cols]
                 profile = prefix_rank_profile(block, nvars)
                 assert [f for f, _ in wide] == [f for f in profile if block[f].bit_count() > 2]
@@ -364,7 +369,7 @@ def test_partners_are_each_blocks_rank_profile():
                 ]
                 assert len(folded) == len(small) == rank_oracle(folded, nvars)
                 assert rank_oracle(small + folded, nvars) == len(small)
-                assert solver._block(tables, e) is tables[3][e]
+                assert tables[3][e // 8][1 << e % 8] is entry
 
 
 def test_list_basis_decides_like_tuple_basis():
@@ -383,16 +388,19 @@ def test_corrupted_partner_table_never_gives_an_unchecked_yes(monkeypatch):
     perms = build_basis(4)
     honest = {g: decide_time_graph(reduce_hamp(g), perms) for g in all_graphs(4)}
     real = solver._basis_tables
+    cut = {}
 
     def truncated(n, basis_perms):
         tables = real(n, basis_perms)
-        blocks = []
-        for e in range(len(tables[0])):
-            zero, equal, wide = solver._block(tables, e)
-            blocks.append((zero & -zero, equal[:1], wide[:1]))
+        chunks = tables[3]
         # the chunk dicts are still empty, so every entry folds cut blocks
-        assert not any(tables[4])
-        return (*tables[:3], blocks, tables[4])
+        assert not any(chunks)
+        for e in bit_indices(tables[2]):
+            j, b = e // 8, 1 << e % 8
+            zero, equal, widened = solver._chunk(tables, j, b)
+            wide = widened[0][1][:1] if widened else ()
+            cut[e] = chunks[j][b] = (zero & -zero, equal[:1], ((e, wide),) if wide else ())
+        return tables
 
     monkeypatch.setattr(solver, "_basis_tables", truncated)
     # the memo still holds the honest tables of perms
@@ -408,14 +416,14 @@ def test_corrupted_partner_table_never_gives_an_unchecked_yes(monkeypatch):
     # the search finds a no-instance the truncated rows would have passed
     assert any(not hamiltonian_path_oracle(g) for g in caught)
     # and every chunk entry it read is the fold of the cut blocks
-    _, _, _, blocks, chunks = solver._last[2]
-    assert sum(map(len, chunks)) > 0
+    chunks = solver._last[2][3]
+    assert sum(map(len, chunks)) > len(cut)
     for j, chunk in enumerate(chunks):
         for b, (zero, equal, widened) in chunk.items():
             edges = bit_indices(b << 8 * j)
-            assert zero == functools.reduce(int.__or__, (blocks[e][0] for e in edges))
-            assert equal == tuple(m for e in edges for m in blocks[e][1])
-            assert widened == tuple((e, blocks[e][2]) for e in edges if blocks[e][2])
+            assert zero == functools.reduce(int.__or__, (cut[e][0] for e in edges))
+            assert equal == tuple(m for e in edges for m in cut[e][1])
+            assert widened == tuple(w for e in edges for w in cut[e][2])
 
 
 def test_a_yes_decision_looks_up_the_basis_tables_once(monkeypatch):
@@ -516,6 +524,49 @@ def test_order6_assembly_is_pinned():
     )
 
 
+def _variables(size_min, size_max):
+    return st.sets(st.integers(0, 11), min_size=size_min, max_size=size_max).map(
+        lambda vs: sum(1 << v for v in vs)
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(_variables(0, 3), st.lists(_variables(2, 4), max_size=10), st.randoms())
+def test_fold_contracts_like_the_brute_force_reference(zero, masks, rnd):
+    got_zero, root_of, members = got = solver._fold(zero, list(masks))
+    ref_zero, ref_root_of, ref_members = fold_reference(zero, masks)
+    # the least superset of zero that absorbs every mask meeting it
+    assert got_zero == ref_zero
+    assert got_zero & zero == zero
+    assert all(not m & got_zero or not m & ~got_zero for m in masks)
+    # the components of the overlap graph of the masks left, each keyed by
+    # its largest member, highest non-root member first
+    assert list(members.items()) == list(ref_members.items())
+    assert all(m >> r == 1 for r, m in members.items())
+    assert all(not m & got_zero for m in members.values())
+    left = [m for m in masks if not m & got_zero]
+    assert all(sum(1 for c in members.values() if c & m == m) == 1 for m in left)
+    # root_of maps every member but the root, to the root
+    assert root_of == ref_root_of
+    assert root_of == {v: r for r, m in members.items() for v in bit_indices(m) if v != r}
+    # the order of the masks does not matter
+    shuffled = list(masks)
+    rnd.shuffle(shuffled)
+    again = solver._fold(zero, shuffled)
+    assert again == got and list(again[2].items()) == list(members.items())
+    # joining the components first and absorbing those that meet the zero
+    # mask after gives the same contraction
+    zero_after = zero
+    equal = {}
+    for r, m in solver._fold(0, list(masks))[2].items():
+        if m & zero:
+            zero_after |= m
+        else:
+            equal[r] = m
+    assert zero_after == got_zero
+    assert list(equal.items()) == list(members.items())
+
+
 @st.composite
 def fold_time_graphs(draw):
     """Random time-graphs of order 3 to 6 at edge density 1/2 or 7/8 (the
@@ -580,7 +631,7 @@ def test_chunk_tables_are_bounded_and_go_with_their_basis(monkeypatch):
     graphs += [lab.random_time_graph(5, rng) for _ in range(200)]
     for T in graphs:
         assemble_system(T, perms)
-    _, _, live, _, chunks = solver._last[2]
+    _, _, live, chunks = solver._last[2]
     assert len(chunks) == -(-edge_space_size(5) // 8) == 13
     for j, chunk in enumerate(chunks):
         byte = live >> 8 * j & 255
@@ -589,5 +640,5 @@ def test_chunk_tables_are_bounded_and_go_with_their_basis(monkeypatch):
     # the last-basis memo holds the only reference: a second basis drops it
     assert sys.getrefcount(chunks) == 3  # the memo's tables, ours, the call's
     assemble_system(graphs[0], perms[::-1])
-    assert solver._last[2][4] is not chunks
+    assert solver._last[2][3] is not chunks
     assert sys.getrefcount(chunks) == 2
