@@ -116,6 +116,23 @@ def _spanning_edges(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(spanning), tuple(relations)
 
 
+def _shuffle(x: list, seed: int | str) -> None:
+    """Shuffle x in place exactly as random.Random(seed).shuffle(x) does,
+    with the same getrandbits draws, inline (Durstenfeld, CACM 1964).  The
+    draw width k is fixed over each run of i sharing (i + 1).bit_length()."""
+    getrandbits = random.Random(seed).getrandbits
+    hi = len(x) - 1
+    while hi > 0:
+        k = (hi + 1).bit_length()
+        lo = (1 << (k - 1)) - 1
+        for i in range(hi, lo - 1, -1):
+            j = getrandbits(k)
+            while j > i:
+                j = getrandbits(k)
+            x[i], x[j] = x[j], x[i]
+        hi = lo - 1
+
+
 def build_canonical_basis(
     G: TimeGraph,
     order: Optional[Sequence[int]] = None,
@@ -129,8 +146,8 @@ def build_canonical_basis(
 
     A candidate is a permutation_table index; its layer is the enumeration
     position of its last missing edge (0 if none), the last position the
-    ascending pass below writes onto it.  As random.shuffle's swaps depend
-    only on the length, shuffling the indices shuffles the table.
+    ascending pass below writes onto it.  As _shuffle's swaps depend only
+    on the length, shuffling the indices shuffles the table.
     """
     check_perm_cap(G.n)
     order = _checked_order(G, order)
@@ -143,7 +160,7 @@ def build_canonical_basis(
             layer_of[k] = pos
     candidates = list(range(size))
     if perm_seed is not None:
-        random.Random(perm_seed).shuffle(candidates)
+        _shuffle(candidates, perm_seed)
     candidates.sort(key=layer_of.__getitem__)
     # the greedy selection is the rank profile of the candidates' 0/1
     # matrix, the lowest set bits of the vectors in its column space, read

@@ -25,6 +25,7 @@ from .canonical import (
     CanonicalBasis,
     Decomposition,
     InternalInconsistencyError,
+    _shuffle,
     _spanning_edges,
     _tail_parities,
     build_canonical_basis,
@@ -363,9 +364,8 @@ def run_campaign(
             if oi == 0:
                 order = None
             else:
-                shuffled = G.complement_indices()
-                random.Random(f"{seed}:{n}:{trial}:order:{oi}").shuffle(shuffled)
-                order = shuffled
+                order = G.complement_indices()
+                _shuffle(order, f"{seed}:{n}:{trial}:order:{oi}")
             pseed = None
             if basis_seed is not None:
                 pseed = (basis_seed * 1_000_003 + trial * 1_009 + oi) & 0x7FFFFFFF

@@ -283,6 +283,8 @@ def assemble_system(G: TimeGraph, basis_perms: Sequence[Permutation]) -> LinearS
     kept = {}
     for e, wide in widened:
         ce = cols[e] & nonzero
+        if not ce:
+            continue  # every permutation through e is 0, so each row is 0
         for f, vs in wide:
             if f < e and not edges >> f & 1:
                 continue  # the row of (f, e), spanned by f's block

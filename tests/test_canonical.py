@@ -171,6 +171,50 @@ def test_perm_seed_changes_layer_content_not_rank():
     assert a.d[0] == b.d[0]
 
 
+# the lengths where (i + 1).bit_length() changes, the edges of _shuffle's runs
+RUN_EDGES = sorted({(1 << k) + d for k in range(10) for d in (-1, 0, 1)})
+SEEDS = st.one_of(
+    st.integers(-(2**70), 2**70),
+    st.text(max_size=12),
+    st.builds(
+        "{}:{}:{}:order:{}".format,
+        st.integers(0, 99), st.integers(2, 8), st.integers(0, 999), st.integers(1, 3),
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(length=st.one_of(st.sampled_from(RUN_EDGES), st.integers(0, 1000)), seed=SEEDS)
+def test_shuffle_matches_random_shuffle(length, seed):
+    got, want = list(range(length)), list(range(length))
+    canonical._shuffle(got, seed)
+    random.Random(seed).shuffle(want)
+    assert got == want
+
+
+@pytest.mark.parametrize("seed", [0, 2**40 + 3, "x", "1:6:7:order:1"])
+def test_shuffle_draws_like_random_shuffle(monkeypatch, seed):
+    # the same getrandbits calls in the same order, so the generators end
+    # in the same state, at every run edge and at 7! = 5,040
+    draws = []
+
+    class Recording(random.Random):
+        def getrandbits(self, k):
+            r = super().getrandbits(k)
+            draws.append((k, r))
+            return r
+
+    monkeypatch.setattr(canonical, "random", type("Module", (), {"Random": Recording}))
+    for length in (*RUN_EDGES, 5040):
+        got, want = list(range(length)), list(range(length))
+        canonical._shuffle(got, seed)
+        ours = draws[:]
+        draws.clear()
+        Recording(seed).shuffle(want)
+        assert (got, ours) == (want, draws)
+        draws.clear()
+
+
 @pytest.mark.parametrize("n", range(2, 8))
 def test_spanning_edges_span_the_edge_span(n):
     path = Path(__file__).resolve().parent.parent / "results" / "dimensions.json"

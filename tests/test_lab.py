@@ -234,6 +234,18 @@ def test_campaign_reports_are_pinned():
     )
 
 
+def test_order6_campaign_reports_are_pinned():
+    # both seeded shuffles at order 6, of 720 candidates and of up to 180
+    # complement edges; the reports replay from their own enumerations and
+    # candidate seeds
+    sink = io.StringIO()
+    out = run_campaign(6, 16, seed=1, orders=2, basis_seed=1, sink=sink)
+    assert hashlib.sha256(sink.getvalue().encode()).hexdigest() == (
+        "dfa674cfb740e2e0ff4dc0fb9ba208fe06d90296c5095d971f4e8f2bcfd8b619"
+    )
+    assert all(replay_report(rep.to_dict()) for rep in out["reports"])
+
+
 def test_campaign_gate_raises_when_neither_conjecture_is_violated(monkeypatch):
     # with every element claimed to have value 1, the gate must run on a
     # non-hamiltonian instance and find that neither conjecture failed

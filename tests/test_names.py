@@ -355,3 +355,36 @@ def test_exports_match_the_package():
     namespace: dict = {}
     exec("from hamtg import *", namespace)
     assert set(namespace) - {"__builtins__"} == set(hamtg.__all__)
+
+
+def shuffle_calls(path: Path) -> list[str]:
+    """'module:line' per call of a .shuffle method in the module."""
+    tree = ast.parse(path.read_text(), str(path))
+    return [
+        f"{path.stem}:{node.lineno}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "shuffle"
+    ]
+
+
+def test_package_has_no_shuffle_call():
+    # every seeded shuffle goes through canonical._shuffle
+    paths = sorted(PACKAGE_DIR.glob("*.py"))
+    assert len(paths) >= 9
+    assert [msg for path in paths for msg in shuffle_calls(path)] == []
+
+
+def test_check_reports_a_shuffle_call(tmp_path):
+    src = tmp_path / "sample.py"
+    src.write_text(
+        "import random\n"
+        "def f(x, rng):\n"
+        "    random.Random(1).shuffle(x)\n"
+        "    rng.shuffle(\n"
+        "        x)\n"
+        "    _shuffle(x, 1)  # .shuffle( in a comment\n"
+        "s = 'x.shuffle(y)'\n"
+    )
+    assert shuffle_calls(src) == ["sample:3", "sample:4"]
