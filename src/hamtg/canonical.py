@@ -26,7 +26,7 @@ import functools
 import random
 from typing import Optional, Sequence
 
-from .gf2 import _Value, _keep
+from .gf2 import _Value, _keep, column_dependencies
 from .permvec import EdgeVector, PairVector, diagonal, pair_sum
 from .timegraph import (
     TimeGraph,
@@ -104,16 +104,10 @@ def _spanning_edges(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     permutation_table.
     """
     through = permutations_through(n)
-    size = len(permutation_table(n))
-    pivots: dict[int, int] = {}
-    spanning, relations = [], []
-    for e, ks in enumerate(through):
-        left = _keep(pivots, sum(1 << k for k in ks) | 1 << (size + e), size)
-        if left is None:
-            spanning.append(e)
-        else:
-            relations.append(left >> size)
-    return tuple(spanning), tuple(relations)
+    cols = ((sum(1 << k for k in ks), 1 << e) for e, ks in enumerate(through))
+    deps = column_dependencies(cols, len(permutation_table(n)))
+    spanning = tuple(e for e, d in enumerate(deps) if d is None)
+    return spanning, tuple(d for d in deps if d is not None)
 
 
 def _shuffle(x: list, seed: int | str) -> None:

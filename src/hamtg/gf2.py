@@ -7,7 +7,8 @@ of each row's lowest set bit and reduces a row only at the pivots it hits,
 in one loop, ``_keep``.  A row keeps its tags in the bits above the pivot
 range, where they ride along with every xor and are never pivots: the
 originals a ``Gf2Basis`` row combines, the rhs of a ``solve_system`` row,
-the edge of a canonical-basis column.  All results are bit-exact.
+the tag of a ``column_dependencies`` column, the edge of a canonical-basis
+column.  All results are bit-exact.
 """
 
 from __future__ import annotations
@@ -254,38 +255,32 @@ def column_rank_profile(cols: Iterable[int], nrows: int) -> list[int]:
     return sorted(pivots)
 
 
+def column_dependencies(
+    cols: Iterable[tuple[int, int]], nrows: int
+) -> list[Optional[int]]:
+    """Per (column, tag) pair, in order, of a matrix given by its columns
+    (bit i of each is row i): None when the column extends the span of the
+    columns before it, else the xor of its tag and the tags of the earlier
+    columns that sum to it, each column reduced through _keep with its tag
+    above bit nrows.  With tags 1 << v on columns v = 0, 1, ..., that is
+    the one nullspace vector with a one at v and its other ones only at
+    columns that extended the span."""
+    pivots: dict[int, int] = {}
+    out: list[Optional[int]] = []
+    for col, tag in cols:
+        if col < 0 or col >> nrows:
+            raise ValueError(f"column has set bits beyond {nrows} rows")
+        left = _keep(pivots, col | tag << nrows, nrows)
+        out.append(None if left is None else left >> nrows)
+    return out
+
+
 class LinearSolveResult(_Value):
     """Raw elimination outcome over int-encoded equation rows: x is the
-    particular solution, free variables zero, rank the coefficient rank of
-    the rows processed, and _pivots the augmented echelon, pivot -> row with
-    the rhs at bit _nvars; x and _pivots are None when inconsistent."""
+    particular solution, free variables zero, or None when inconsistent,
+    and rank the coefficient rank of the rows processed."""
 
-    _fields = ("consistent", "x", "rank")
-    __slots__ = (*_fields, "_pivots", "_nvars")
-
-    def nullspace_without(self, skip: int) -> tuple[int, ...]:
-        """The nullspace vectors of the free variables outside the mask skip
-        (all of them for skip=0), one per variable, ascending; the echelon
-        is back-substituted highest pivot first.  Empty for an inconsistent
-        system.
-        """
-        rows = self._pivots
-        if rows is None:
-            return ()
-        free_mask = ((1 << self._nvars) - 1) & ~skip & ~sum(1 << p for p in rows)
-        null = {f: 1 << f for f in bit_indices(free_mask)}
-        done: dict[int, int] = {}
-        above = 0  # the pivots already back-substituted, all higher than p
-        for p in sorted(rows, reverse=True):
-            r = rows[p]
-            # a done row carries no pivot but its own, so these bits stay put
-            for q in bit_indices(r & above):
-                r ^= done[q]
-            done[p] = r
-            above |= 1 << p
-            for f in bit_indices(r & free_mask):
-                null[f] |= 1 << p
-        return tuple(null.values())
+    __slots__ = _fields = ("consistent", "x", "rank")
 
 
 def solve_system(
@@ -304,11 +299,11 @@ def solve_system(
         if row < 0 or row >> nvars:
             raise ValueError(f"row has coefficients beyond {nvars} variables")
         if _keep(pivots, row | (b & 1) << nvars, nvars) == inconsistent:
-            return LinearSolveResult(False, None, len(pivots), None, nvars)
+            return LinearSolveResult(False, None, len(pivots))
     # with free variables zero, each pivot variable is its row's rhs plus the
     # parity of the already-solved higher pivots the row meets
     x = 0
     for p in sorted(pivots, reverse=True):
         r = pivots[p]
         x |= ((r >> nvars) ^ (r & x).bit_count() & 1) << p
-    return LinearSolveResult(True, x, len(pivots), pivots, nvars)
+    return LinearSolveResult(True, x, len(pivots))

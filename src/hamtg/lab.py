@@ -66,41 +66,24 @@ def supported_coefficient_space(
     """Coefficient masks spanning {alpha : the combination is supported in G}.
 
     These are the homogeneous solutions of the assembled system (the value
-    row dropped), lifted from the roots to every variable; the homogeneous
-    system is always consistent.  A contracted variable is in no row, so
-    its own vector would be exactly its bit; it is not built, since the
-    contraction already fixes that variable.
+    row dropped), LinearSystem.kernel lifted from the roots to every
+    variable.  A contracted variable is in no row, so its own vector would
+    be exactly its bit; it is not built, since the contraction already
+    fixes that variable.
     """
     system = assemble_system(G, basis_perms)
-    hom = system.rows[:-1]
-    res = solve_system(hom, (0,) * len(hom), system.nvars)
-    return [system.lift(v) for v in res.nullspace_without(system.contracted)]
-
-
-def _image_span(
-    n: int, coeff_space: Iterable[int], incident_masks: Sequence[int]
-) -> Gf2Basis:
-    """Span of the diagonal images of the combinations the masks select.
-
-    The diagonal of a permutation's pair indicator is its incident edge
-    mask, so a combination's image is the xor of the selected
-    incident_masks (one per basis permutation).
-    """
-    span = Gf2Basis(edge_space_size(n))
-    for mask in coeff_space:
-        image = 0
-        for k in bit_indices(mask):
-            image ^= incident_masks[k]
-        span.insert_raw(image)
-    return span
+    return [system.lift(v) for v, _ in system.kernel()]
 
 
 def supported_image_span(
     G: TimeGraph, basis_perms: Sequence[Permutation]
 ) -> Gf2Basis:
-    """Span of diagonal images of the supported subspace."""
-    coeff_space = supported_coefficient_space(G, basis_perms)
-    return _image_span(G.n, coeff_space, [incident_mask(p) for p in basis_perms])
+    """Span of diagonal images of the supported subspace: the images that
+    LinearSystem.kernel reads off with each vector, so none is lifted."""
+    span = Gf2Basis(edge_space_size(G.n))
+    for _, image in assemble_system(G, basis_perms).kernel():
+        span.insert_raw(image)
+    return span
 
 
 # ---------------------------------------------------------------------------
@@ -350,12 +333,16 @@ def run_campaign(
             G = reduce_hamp(random_graph(n, rng))
             source = "reduced"
         generator = "incident-xor" if (trial >> 1) % 2 == 0 else "subspace"
-        coeff_space = supported_coefficient_space(G, basis_perms)
-        image_span = _image_span(n, coeff_space, incident_masks)
+        system = assemble_system(G, basis_perms)
+        kernel = system.kernel()
+        image_span = Gf2Basis(edge_space_size(n))
+        for _, image in kernel:
+            image_span.insert_raw(image)
         g_rng = random.Random(f"{seed}:{n}:{trial}:g")
         if generator == "incident-xor":
             g = sample_incident_combination(G, g_rng)
         else:
+            coeff_space = [system.lift(v) for v, _ in kernel]
             g = sample_supported_element(G, g_rng, coeff_space, incident_masks)
         # every report of this trial shares one witness string; the hex of
         # an order-6 pair vector is 8,100 characters
@@ -505,13 +492,16 @@ def dimension_table(
 ) -> list[dict]:
     """Measured dimensions of the indicator spans, against the lift basis size.
 
-    The pair-span columns stop at pair_max; where both are computed the
-    lift basis size must equal the brute-force pair rank.  The edge rank is
-    the column rank of the permutations' edge incidence matrix, the size
-    of the spanning set of edges the canonical builder keeps; the pair
-    rank is taken over compact pair rows, which keep the rank for the
-    reason given in liftbasis._lift_step.  Each order's lift basis is one
-    lift step from the order below, so the recursion runs once in all.
+    The pair-span columns stop at pair_max; where both are computed,
+    consistent says whether the lift basis size equals the brute-force pair
+    rank.  Through order 6 the lift step is given all n! pair rows in table
+    order, the rows that rank sees, so there it holds by construction; at
+    order 7 the lift has 5,033 candidates.  The edge rank is the column
+    rank of the permutations' edge incidence matrix, the size of the
+    spanning set of edges the canonical builder keeps; the pair rank is
+    taken over compact pair rows, which keep the rank for the reason given
+    in liftbasis._lift_step.  Each order's lift basis is one lift step from
+    the order below, so the recursion runs once in all.
     """
     check_perm_cap(max_n)
     out = []
@@ -527,12 +517,11 @@ def dimension_table(
         }
         if n <= pair_max:
             coords = pair_coordinates(n)
-            pair_rows = Gf2Basis(len(coords))
-            for p, _, _ in permutation_table(n):
-                pair_rows.insert_raw(_pair_row(coords, p))
+            rows = (_pair_row(coords, p) for p, _, _ in permutation_table(n))
+            pair_rank = solve_system(rows, itertools.repeat(0), len(coords)).rank
             basis = _order_basis(n, cache_dir, pair_max, prev=basis)
-            row["dim_pair_span"] = pair_rows.rank
+            row["dim_pair_span"] = pair_rank
             row["lift_basis_size"] = len(basis)
-            row["consistent"] = pair_rows.rank == len(basis)
+            row["consistent"] = pair_rank == len(basis)
         out.append(row)
     return out

@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from .canonical import InternalInconsistencyError
-from .gf2 import _Value, bit_indices, column_rank_profile, solve_system
+from .gf2 import _Value, bit_indices, column_dependencies, column_rank_profile, solve_system
 from .liftbasis import build_basis
 from .timegraph import (
     Graph,
@@ -46,7 +46,7 @@ class LinearSystem(_Value):
     contracted is the mask of the variables that are not roots.  _members
     maps each root with other members to the mask of its component, and
     _tables holds the basis tables the rows were read from, for the
-    witness check.
+    witness check and the kernel's images.
     """
 
     _fields = ("n", "nvars", "rows", "raw_rows", "contracted")
@@ -59,6 +59,27 @@ class LinearSystem(_Value):
         for r in bit_indices(x):
             x |= members.get(r, 0)
         return x
+
+    def kernel(self) -> list[tuple[int, int]]:
+        """The nullspace of the wide rows over the roots, one vector per
+        free root, ascending, each with its diagonal image (the xor of the
+        incident masks of its lift), read off gf2.column_dependencies of
+        the transposed rows: root v is tagged with bit v and, above bit
+        nvars, the xor of its component's incident masks."""
+        wide, nvars, masks = self.rows[:-1], self.nvars, self._tables[1]
+        cols: dict[int, int] = {}
+        for i, row in enumerate(wide):
+            for v in bit_indices(row):
+                cols[v] = cols.get(v, 0) | 1 << i
+        image = list(masks)
+        for r, m in self._members.items():
+            for v in bit_indices(m ^ 1 << r):
+                image[r] ^= masks[v]
+        low = (1 << nvars) - 1
+        roots = bit_indices(low & ~self.contracted)
+        tagged = ((cols.get(v, 0), 1 << v | image[v] << nvars) for v in roots)
+        deps = column_dependencies(tagged, len(wide))
+        return [(d & low, d >> nvars) for d in deps if d is not None]
 
 
 class Decision(_Value):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import itertools
 import random
 from typing import Mapping
 
@@ -61,6 +62,44 @@ def rank_oracle(rows: list[int], ncols: int) -> int:
 def in_span_oracle(vec: int, rows: list[int], ncols: int) -> bool:
     """Membership via rank comparison, independent of the incremental basis."""
     return rank_oracle(rows + [vec], ncols) == rank_oracle(rows, ncols)
+
+
+def nullspace_reference(rows: list[int], nvars: int, skip: int = 0) -> tuple[int, ...]:
+    """The nullspace vectors of the free variables outside the mask skip,
+    one per variable, ascending, by back-substitution: the rows' echelon,
+    keyed by each row's lowest set bit, is back-substituted highest pivot
+    first, and each free variable's vector has a one at that variable and
+    at each pivot whose back-substituted row meets it."""
+    pivots: dict[int, int] = {}
+    for r in rows:
+        while r:
+            p = (r & -r).bit_length() - 1
+            if p not in pivots:
+                pivots[p] = r
+                break
+            r ^= pivots[p]
+    free_mask = ((1 << nvars) - 1) & ~skip & ~sum(1 << p for p in pivots)
+    null = {f: 1 << f for f in bit_indices(free_mask)}
+    done: dict[int, int] = {}
+    above = 0  # the pivots already back-substituted, all higher than p
+    for p in sorted(pivots, reverse=True):
+        r = pivots[p]
+        # a done row carries no pivot but its own, so these bits stay put
+        for q in bit_indices(r & above):
+            r ^= done[q]
+        done[p] = r
+        above |= 1 << p
+        for f in bit_indices(r & free_mask):
+            null[f] |= 1 << p
+    return tuple(null.values())
+
+
+def all_graphs(n: int):
+    """Every simple graph on 1..n, one per mask of the ordered vertex pairs,
+    each built by Graph.from_edges."""
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    for mask in range(1 << len(pairs)):
+        yield Graph.from_edges(n, (pairs[k] for k in range(len(pairs)) if mask >> k & 1))
 
 
 def path_graph(n: int) -> Graph:

@@ -36,7 +36,6 @@ from hamtg.permvec import (
 )
 from hamtg.timegraph import (
     Edge,
-    Graph,
     TimeGraph,
     all_permutations,
     edge_space_size,
@@ -48,18 +47,12 @@ from hamtg.timegraph import (
     reduce_hamp,
 )
 
+from helpers import all_graphs
+
 
 def _report(name: str, detail: str = "") -> None:
     suffix = f" ({detail})" if detail else ""
     print(f"ACCEPTANCE {name}: PASS{suffix}")
-
-
-def all_graphs(n):
-    pairs = list(itertools.combinations(range(1, n + 1), 2))
-    for mask in range(1 << len(pairs)):
-        yield Graph.from_edges(
-            n, (pairs[k] for k in range(len(pairs)) if (mask >> k) & 1)
-        )
 
 
 def test_criterion_1_reduction_equivalence():

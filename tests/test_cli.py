@@ -105,6 +105,20 @@ def test_solve_under_optimize_flag(graph_file, tmp_path, g, expected):
     assert json.loads(outputs[0])["answer"] == ("yes" if expected == EXIT_YES else "no")
 
 
+def test_solve_flags_a_yes_the_oracle_refutes(capsys, monkeypatch, graph_file):
+    # the star on 4 vertices has no Hamiltonian path, so a yes on it is a
+    # counterexample candidate, reported with the yes exit code
+    def says_yes(g, cache_dir=None, cap=None):
+        return hamtg.solver.Decision(True, (0,), 24, 1, 1, 1)
+
+    monkeypatch.setattr(hamtg.solver, "decide_hamiltonian_path", says_yes)
+    code, data = run_json(capsys, ["solve", graph_file(star_graph(3))])
+    assert code == EXIT_YES
+    assert data["answer"] == "yes" and data["witness"] == [0]
+    assert data["oracle_answer"] == "no"
+    assert data["conjecture_flag"] == "counterexample-candidate"
+
+
 def test_solve_no_oracle_flag(capsys, graph_file):
     code, data = run_json(capsys, ["solve", "--no-oracle", graph_file(path_graph(3))])
     assert code == EXIT_YES
@@ -211,6 +225,17 @@ def test_malformed_timegraph_file_exits_with_input_error(capsys, tmp_path):
     path.write_text("3\nseven\n")
     error = _input_error(capsys, ["oracle", "--timegraph", str(path)])
     assert error["error"] == "ValueError"
+
+
+@pytest.mark.parametrize("idx", [18, -1])
+def test_timegraph_file_with_an_edge_index_out_of_range_exits_with_input_error(
+    capsys, tmp_path, idx
+):
+    # an order-3 time-graph has edge indices 0..17
+    path = tmp_path / "tg.txt"
+    path.write_text(f"3\n0\n{idx}\n")
+    error = _input_error(capsys, ["oracle", "--timegraph", str(path)])
+    assert error == {"error": "ValueError", "message": f"edge index {idx} out of range for order 3"}
 
 
 def test_missing_input_file_exits_with_input_error(capsys, tmp_path):

@@ -12,12 +12,13 @@ from hamtg.gf2 import (
     LengthMismatchError,
     _keep,
     bit_indices,
+    column_dependencies,
     column_rank_profile,
     rank,
     solve_system,
 )
 
-from helpers import in_span_oracle, prefix_rank_profile, rank_oracle
+from helpers import in_span_oracle, nullspace_reference, prefix_rank_profile, rank_oracle
 
 
 def bv(length, *indices):
@@ -231,13 +232,81 @@ def test_column_rank_profile_rejects_tall_columns():
 
 
 # ---------------------------------------------------------------------------
+# column_dependencies
+
+def kernel(rows, nvars):
+    """The nullspace of rows, one vector per free variable, ascending: the
+    column_dependencies of their columns, column v tagged 1 << v."""
+    cols = [(c, 1 << v) for v, c in enumerate(_columns(rows, nvars))]
+    return tuple(d for d in column_dependencies(cols, len(rows)) if d is not None)
+
+
+def test_column_dependencies_small_cases():
+    assert column_dependencies([], 0) == [] and kernel([], 0) == ()
+    # one row, x1 = 0, over three variables: x0 and x2 are free
+    assert column_dependencies([(0, 1), (1, 2), (0, 4)], 1) == [0b001, None, 0b100]
+    # a tag is returned as given, with the tags of the columns it sums
+    assert column_dependencies([(0b11, 5), (0b01, 6), (0b10, 8)], 2) == [None, None, 5 ^ 6 ^ 8]
+    assert column_dependencies([(0, 0)], 3) == [0]
+
+
+def test_column_dependencies_rejects_tall_columns():
+    for cols in ([(0b100, 1)], [(0, 1), (0b1, 2), (0b100, 4)], [(-1, 1)]):
+        with pytest.raises(ValueError):
+            column_dependencies(cols, 2)
+
+
+kernel_cases = st.integers(0, 12).flatmap(
+    lambda nvars: st.tuples(
+        st.just(nvars),
+        st.lists(st.integers(0, (1 << nvars) - 1), max_size=12),
+        st.integers(0, (1 << nvars) - 1),
+        st.integers(0, (1 << nvars) - 1),
+        st.lists(st.integers(0, (1 << 20) - 1), min_size=nvars, max_size=nvars),
+    )
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(kernel_cases)
+@example((4, [0b0110, 0b0110], 0b1111, 0b1001, [3, 5, 7, 9]))
+@example((5, [0b10011, 0b01001], 0b11011, 0b00100, [0] * 5))
+def test_column_dependencies_match_back_substitution(case):
+    # rows over the variables of used, so the others are in no row; the
+    # skipped variables are among those, as contracted variables are in
+    # no wide row, and their columns are left out
+    nvars, raw, used, skip, high = case
+    rows = [r & used for r in raw]
+    skip &= ~used
+    reference = nullspace_reference(rows, nvars, skip)
+    cols = _columns(rows, nvars)
+    kept = [v for v in range(nvars) if not skip >> v & 1]
+    deps = column_dependencies([(cols[v], 1 << v) for v in kept], len(rows))
+    assert tuple(d for d in deps if d is not None) == reference
+    assert sum(d is None for d in deps) == rank_oracle(rows, nvars)
+    if skip == 0:
+        assert kernel(rows, nvars) == reference
+    # with tags above the variables, each dependency's high part is the xor
+    # of the high tags over its low part's bits, and its low part is as before
+    tagged = column_dependencies([(cols[v], 1 << v | high[v] << nvars) for v in kept], len(rows))
+    assert [d is None for d in tagged] == [d is None for d in deps]
+    low = (1 << nvars) - 1
+    for d, t in zip(deps, tagged):
+        if d is not None:
+            assert t & low == d
+            assert t >> nvars == functools.reduce(
+                operator.xor, (high[v] for v in bit_indices(d)), 0
+            )
+
+
+# ---------------------------------------------------------------------------
 # solve_system
 
 def test_solve_identity_system():
     res = solve_system([1 << k for k in range(5)], [0, 1, 0, 1, 0], 5)
     assert res.consistent
     assert res.x == 0b01010
-    assert res.nullspace_without(0) == ()
+    assert kernel([1 << k for k in range(5)], 5) == ()
     assert res.rank == 5
 
 
@@ -252,7 +321,7 @@ def test_solve_zero_matrix_zero_rhs():
     res = solve_system([0, 0, 0], [0, 0, 0], 4)
     assert res.consistent
     assert res.x == 0
-    assert res.nullspace_without(0) == (0b0001, 0b0010, 0b0100, 0b1000)
+    assert kernel([0, 0, 0], 4) == (0b0001, 0b0010, 0b0100, 0b1000)
 
 
 def test_solve_planted_20x30():
@@ -265,11 +334,12 @@ def test_solve_planted_20x30():
     assert res.consistent
     for r, b in zip(eq_rows, rhs):
         assert (r & res.x).bit_count() & 1 == b
-    for vec in res.nullspace_without(0):
+    null = kernel(eq_rows, nvars)
+    for vec in null:
         for r in eq_rows:
             assert (r & vec).bit_count() & 1 == 0
     # planted minus particular lies in the nullspace span
-    assert in_span_oracle(planted ^ res.x, list(res.nullspace_without(0)), nvars)
+    assert in_span_oracle(planted ^ res.x, list(null), nvars)
 
 
 def test_solve_system_detects_inconsistency():
@@ -333,7 +403,7 @@ def test_solve_random_planted(nrows, nvars, rnd):
     assert res.x is not None
     for r, b in zip(eq_rows, rhs):
         assert (r & res.x).bit_count() & 1 == b
-    for vec in res.nullspace_without(0):
+    for vec in kernel(eq_rows, nvars):
         for r in eq_rows:
             assert (r & vec).bit_count() & 1 == 0
 
@@ -360,6 +430,20 @@ def test_solve_system_matches_oracle(nvars, nrows, density, planted, rnd):
     aug = [r | b << nvars for r, b in zip(eq_rows, rhs)]
     res = solve_system(eq_rows, rhs, nvars)
     rank_a = rank_oracle(eq_rows, nvars)
+    # free variables: the columns where the prefix column rank does not grow
+    free = [
+        c for c in range(nvars)
+        if rank_oracle([r & ((2 << c) - 1) for r in eq_rows], c + 1)
+        == rank_oracle([r & ((1 << c) - 1) for r in eq_rows], c)
+    ]
+    free_mask = sum(1 << c for c in free)
+    # the nullspace does not depend on the rhs, so it is checked either way
+    null = kernel(eq_rows, nvars)
+    assert len(null) == nvars - rank_a
+    for f, vec in zip(free, null):
+        assert vec & free_mask == 1 << f
+        for r in eq_rows:
+            assert (r & vec).bit_count() & 1 == 0
     assert res.consistent == (rank_a == rank_oracle(aug, nvars + 1))
     if not res.consistent:
         # the rank covers the rows before the first one that makes 0 = 1
@@ -368,24 +452,12 @@ def test_solve_system_matches_oracle(nvars, nrows, density, planted, rnd):
             if rank_oracle(eq_rows[: k + 1], nvars) != rank_oracle(aug[: k + 1], nvars + 1)
         )
         assert res.rank == rank_oracle(eq_rows[:k], nvars)
-        assert res.x is None and res.nullspace_without(0) == ()
+        assert res.x is None
         return
     assert res.rank == rank_a
-    assert len(res.nullspace_without(0)) == nvars - rank_a
-    # free variables: the columns where the prefix column rank does not grow
-    free = [
-        c for c in range(nvars)
-        if rank_oracle([r & ((2 << c) - 1) for r in eq_rows], c + 1)
-        == rank_oracle([r & ((1 << c) - 1) for r in eq_rows], c)
-    ]
-    free_mask = sum(1 << c for c in free)
     assert res.x & free_mask == 0
     for r, b in zip(eq_rows, rhs):
         assert (r & res.x).bit_count() & 1 == b
-    for f, vec in zip(free, res.nullspace_without(0)):
-        assert vec & free_mask == 1 << f
-        for r in eq_rows:
-            assert (r & vec).bit_count() & 1 == 0
 
 
 # ---------------------------------------------------------------------------

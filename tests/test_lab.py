@@ -1,6 +1,5 @@
 import hashlib
 import io
-import itertools
 import json
 import random
 from pathlib import Path
@@ -9,7 +8,7 @@ import pytest
 
 from hamtg import lab, liftbasis
 from hamtg.canonical import InternalInconsistencyError, build_canonical_basis
-from hamtg.gf2 import Gf2Basis, rank
+from hamtg.gf2 import Gf2Basis, rank, solve_system
 from hamtg.lab import (
     audit_false_positive,
     check_conjecture1,
@@ -36,10 +35,11 @@ from hamtg.timegraph import (
     all_permutations,
     incident_permutations,
     is_hamiltonian_oracle,
+    permutation_table,
     reduce_hamp,
 )
 
-from helpers import supported_subspace
+from helpers import all_graphs, supported_subspace
 
 
 # ---------------------------------------------------------------------------
@@ -293,12 +293,7 @@ def test_crossval_results_are_pinned(args, kwargs, digest):
 def test_all_graphs_match_graphs_from_edges():
     # crossval and the benchmark read this sequence, graph by graph
     for n in range(1, 6):
-        pairs = list(itertools.combinations(range(1, n + 1), 2))
-        expected = [
-            Graph.from_edges(n, (pairs[k] for k in range(len(pairs)) if mask >> k & 1))
-            for mask in range(1 << len(pairs))
-        ]
-        assert list(lab._all_graphs(n)) == expected
+        assert list(lab._all_graphs(n)) == list(all_graphs(n))
 
 
 def _count_pair_sums(monkeypatch) -> list:
@@ -444,8 +439,9 @@ def test_recorded_dimensions_are_reproduced():
 
 def test_dimension_table_lifts_each_order_once(monkeypatch):
     # one lift step per order 2..6, from the order below; the inserts are
-    # the lift candidates plus the table's own pair rows, each n!
-    calls = {"lift": 0, "insert": 0}
+    # the lift candidates, n! per order, and the brute-force pair rank is
+    # given the table's own pair rows, n! per order too
+    calls = {"lift": 0, "insert": 0, "rank_rows": 0}
     lift_step, insert_raw = liftbasis._lift_step, Gf2Basis.insert_raw
 
     def counted_lift(n, prev):
@@ -456,15 +452,37 @@ def test_dimension_table_lifts_each_order_once(monkeypatch):
         calls["insert"] += 1
         return insert_raw(self, bits)
 
+    def counted_solve(rows, rhs, nvars):
+        rows = list(rows)
+        calls["rank_rows"] += len(rows)
+        return solve_system(rows, rhs, nvars)
+
     monkeypatch.setattr(liftbasis, "_lift_step", counted_lift)
     monkeypatch.setattr(Gf2Basis, "insert_raw", counted_insert)
+    monkeypatch.setattr(lab, "solve_system", counted_solve)
     table = dimension_table(7, pair_max=6)
-    assert calls == {"lift": 5, "insert": 2 * (2 + 6 + 24 + 120 + 720)}
+    factorials = 2 + 6 + 24 + 120 + 720
+    assert calls == {"lift": 5, "insert": factorials, "rank_rows": factorials}
     path = Path(__file__).resolve().parent.parent / "results" / "dimensions.json"
     # the recorded rows, orders 2..7, with no pair span at order 7
     expected = json.loads(path.read_text())["rows"][:6]
     expected[5].update(dim_pair_span=None, lift_basis_size=None, consistent=None)
     assert table == expected
+
+
+def test_lift_candidates_are_the_permutation_table_through_order_6():
+    # so through order 6 dimension_table's consistent compares the rank of
+    # the same rows, in the same order, twice; at order 7 the 719-element
+    # order-6 basis lifts to 5,033 of the 5,040 permutations
+    prev = liftbasis.base_basis(1)
+    for n in range(2, 8):
+        candidates = [liftbasis.lift_perm(a, p) for a in range(1, n + 1) for p in prev]
+        table = [p for p, _, _ in permutation_table(n)]
+        assert (candidates == table) == (n <= 6)
+        if n == 7:
+            assert len(candidates) == 5033 and len(set(candidates)) == 5033
+        else:
+            prev = liftbasis._lift_step(n, prev)
 
 
 def test_dimension_table_reads_and_writes_each_order_in_the_cache(tmp_path, monkeypatch):

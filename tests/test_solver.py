@@ -2,6 +2,7 @@ import functools
 import hashlib
 import itertools
 import json
+import operator
 import random
 import sys
 
@@ -28,27 +29,22 @@ from hamtg.timegraph import (
     edge_index,
     edge_space_size,
     hamiltonian_path_oracle,
+    incident_mask,
     is_incident,
     reduce_hamp,
 )
 
 from helpers import (
+    all_graphs,
     assemble_per_edge_reference,
     assemble_rows_reference,
     fold_reference,
+    nullspace_reference,
     path_graph,
     prefix_rank_profile,
     rank_oracle,
     star_graph,
 )
-
-
-def all_graphs(n):
-    pairs = list(itertools.combinations(range(1, n + 1), 2))
-    for mask in range(1 << len(pairs)):
-        yield Graph.from_edges(
-            n, (pairs[k] for k in range(len(pairs)) if (mask >> k) & 1)
-        )
 
 
 def test_complete_time_graph_yields_value_row_only():
@@ -232,7 +228,8 @@ def _check_against_reference(T, perms):
 
     Both are consistent or inconsistent alike, the lifted particular
     solution is the full system's, the supported coefficient space is the
-    full homogeneous nullspace with its vectors in the same order, and the
+    full homogeneous nullspace with its vectors in the same order, each
+    kernel image is the diagonal image of its vector, and the
     decision's rank is the full coefficient rank, for either answer.  The
     contracted rows meet roots only, and the value row counts each
     component once per member.
@@ -260,8 +257,15 @@ def _check_against_reference(T, perms):
         echelon.insert_raw(r)
     assert decision.rank == echelon.rank
     assert decision.rows == len(rows)
-    homogeneous = solve_system(ref[1:], zeros, nvars)
-    assert lab.supported_coefficient_space(T, perms) == list(homogeneous.nullspace_without(0))
+    coeffs = lab.supported_coefficient_space(T, perms)
+    assert coeffs == list(nullspace_reference(ref[1:], nvars))
+    # the kernel over the roots lifts to those vectors, and each image is
+    # the xor of the incident masks of its lift
+    kernel = system.kernel()
+    assert [system.lift(v) for v, _ in kernel] == coeffs
+    masks = [incident_mask(p) for p in perms]
+    for (_, image), c in zip(kernel, coeffs):
+        assert image == functools.reduce(operator.xor, (masks[k] for k in bit_indices(c)), 0)
     assert system.raw_rows == 1 + len(T.complement_indices()) * edge_space_size(T.n)
     return system
 
@@ -293,8 +297,7 @@ def test_assembly_matches_full_loop_reference_at_order_6():
     lifted = 0
     for T in graphs:
         system = _check_against_reference(T, perms)
-        hom = system.rows[:-1]
-        for v in solve_system(hom, (0,) * len(hom), len(perms)).nullspace_without(0):
+        for v, _ in system.kernel():
             lifted += system.lift(v) != v
     assert lifted
 

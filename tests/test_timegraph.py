@@ -22,7 +22,14 @@ from hamtg.timegraph import (
     reduce_hamp,
 )
 
-from helpers import cycle_graph, path_graph, petersen, reduce_hamp_reference, star_graph
+from helpers import (
+    all_graphs,
+    cycle_graph,
+    path_graph,
+    petersen,
+    reduce_hamp_reference,
+    star_graph,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -47,6 +54,23 @@ def test_edge_index_roundtrip(n):
     for idx in range(edge_space_size(n)):
         e = edge_from_index(idx, n)
         assert edge_index(e, n) == idx
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_time_graph_from_edges_matches_from_indices(n):
+    # every third edge, given as Edge values and as plain (i, j, t) tuples
+    edges = [edge_from_index(idx, n) for idx in range(0, edge_space_size(n), 3)]
+    expected = TimeGraph.from_indices(n, [edge_index(e, n) for e in edges])
+    assert expected.edge_count() == len(edges)
+    assert TimeGraph.from_edges(n, edges) == expected
+    assert TimeGraph.from_edges(n, [tuple(e) for e in edges]) == expected
+    assert TimeGraph.from_edges(n, []) == TimeGraph.from_indices(n, []) == TimeGraph.empty(n)
+
+
+@pytest.mark.parametrize("idx", [-1, 18])
+def test_time_graph_from_indices_rejects_an_index_out_of_range(idx):
+    with pytest.raises(ValueError, match=f"edge index {idx} out of range for order 3"):
+        TimeGraph.from_indices(3, [0, idx])
 
 
 # ---------------------------------------------------------------------------
@@ -159,19 +183,9 @@ def test_hamiltonian_path_oracle_leaves_no_reference_cycle():
         gc.enable()
 
 
-def _all_graphs(n):
-    import itertools
-
-    pairs = list(itertools.combinations(range(1, n + 1), 2))
-    for mask in range(1 << len(pairs)):
-        yield Graph.from_edges(
-            n, (pairs[k] for k in range(len(pairs)) if (mask >> k) & 1)
-        )
-
-
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_reduction_equivalence_exhaustive(n):
-    for g in _all_graphs(n):
+    for g in all_graphs(n):
         assert hamiltonian_path_oracle(g) == is_hamiltonian_oracle(reduce_hamp(g))
 
 

@@ -33,9 +33,9 @@ CASES = {
         "InsertResult(extended=True)",
     ),
     "LinearSolveResult": (
-        LinearSolveResult(True, 1, 1, {0: 1}, 1),
-        LinearSolveResult(True, 1, 1, None, 0),
-        LinearSolveResult(True, 0, 1, {0: 1}, 1),
+        LinearSolveResult(True, 1, 1),
+        LinearSolveResult(True, 1, 1),
+        LinearSolveResult(True, 0, 1),
         "LinearSolveResult(consistent=True, x=1, rank=1)",
     ),
     "TimeGraph": (TimeGraph(2, 5), TimeGraph(2, 5), TimeGraph(2, 4), "TimeGraph(n=2, edges=5)"),
@@ -175,9 +175,8 @@ def test_positional_construction_and_defaults():
     assert BitVec(4).bits == 0 and TimeGraph(3).edges == 0
     assert Graph(3).pairs == frozenset()
     assert EdgeVector(2).bits == 0 and PairVector(2).bits == 0
-    assert LinearSolveResult(True, 0, 0, None, 0).nullspace_without(0) == ()
-    res = LinearSolveResult(True, 0, 1, {1: 0b010}, 3)
-    assert res.nullspace_without(0) == (0b001, 0b100)
+    res = LinearSolveResult(False, None, 2)
+    assert (res.consistent, res.x, res.rank) == (False, None, 2)
     d = Decision(False, None, 5, 4, 3, 2)
     assert (d.answer, d.witness, d.nvars, d.rows, d.raw_rows, d.rank) == (False, None, 5, 4, 3, 2)
     r = ConjectureReport("i", 3, (1, 2), (0,), 7, 2, "violated", {})
