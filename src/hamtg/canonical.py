@@ -26,7 +26,7 @@ import functools
 import random
 from typing import Optional, Sequence
 
-from .gf2 import _Value, _keep, column_dependencies
+from .gf2 import _Value, column_echelon
 from .permvec import EdgeVector, PairVector, diagonal, pair_sum
 from .timegraph import (
     TimeGraph,
@@ -105,7 +105,7 @@ def _spanning_edges(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """
     through = permutations_through(n)
     cols = ((sum(1 << k for k in ks), 1 << e) for e, ks in enumerate(through))
-    deps = column_dependencies(cols, len(permutation_table(n)))
+    _, deps = column_echelon(cols, len(permutation_table(n)))
     spanning = tuple(e for e, d in enumerate(deps) if d is None)
     return spanning, tuple(d for d in deps if d is not None)
 
@@ -157,18 +157,18 @@ def build_canonical_basis(
         _shuffle(candidates, perm_seed)
     candidates.sort(key=layer_of.__getitem__)
     # the greedy selection is the rank profile of the candidates' 0/1
-    # matrix, the lowest set bits of the vectors in its column space, read
-    # off an echelon keyed by lowest bit of the spanning columns; bit i of
-    # column e is set when candidate i goes through e, and bit size + e
-    # records that the row combines e
+    # matrix, read off the echelon of its spanning columns: bit i of column
+    # e is set when candidate i goes through e, and its tag 1 << e records
+    # that a row combines e
     bit = [0] * size
     for i, k in enumerate(candidates):
         bit[k] = 1 << i
-    pivots: dict[int, int] = {}
-    for e in _spanning_edges(G.n)[0]:
-        r = sum(map(bit.__getitem__, through[e])) | 1 << (size + e)
-        if _keep(pivots, r, size) is not None:
-            raise InternalInconsistencyError("a spanning column is dependent")
+    pivots, deps = column_echelon(
+        [(sum(map(bit.__getitem__, through[e])), 1 << e) for e in _spanning_edges(G.n)[0]],
+        size,
+    )
+    if len(pivots) != len(deps):
+        raise InternalInconsistencyError("a spanning column is dependent")
     layers: list[list[BasisElement]] = [[] for _ in range(len(order) + 1)]
     echelon = []
     for i in sorted(pivots):

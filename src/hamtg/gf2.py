@@ -5,10 +5,12 @@ Vectors are arbitrary-precision Python integers of a fixed length (a
 xor.  Every elimination in the package keeps an echelon keyed by the index
 of each row's lowest set bit and reduces a row only at the pivots it hits,
 in one loop, ``_keep``.  A row keeps its tags in the bits above the pivot
-range, where they ride along with every xor and are never pivots: the
-originals a ``Gf2Basis`` row combines, the rhs of a ``solve_system`` row,
-the tag of a ``column_dependencies`` column, the edge of a canonical-basis
-column.  All results are bit-exact.
+range, where they ride along with every xor and are never pivots.  Three
+front-ends share the loop: ``Gf2Basis`` for incremental membership, its
+rows tagged with the originals they combine; ``solve_system`` for rows
+with an rhs, the tag; and ``column_echelon`` for the columns of a matrix
+taken in order, each with a tag of the caller's choosing.  All results
+are bit-exact.
 """
 
 from __future__ import annotations
@@ -240,39 +242,30 @@ def rank(vectors: Sequence[Vector]) -> int:
     return basis.rank
 
 
-def column_rank_profile(cols: Iterable[int], nrows: int) -> list[int]:
-    """The rank profile of a matrix given by its columns (bit i of each is
-    row i): ascending, the rows that extend the span of the rows before
-    them.  These are the lowest set bits of the vectors in the columns'
-    span, read off an echelon keyed by lowest bit; zero columns may be
-    left out.
+def column_echelon(
+    cols: Iterable[tuple[int, int]], nrows: int
+) -> tuple[dict[int, int], list[Optional[int]]]:
+    """One pass over (column, tag) pairs of a matrix given by its columns
+    (bit i of each is row i), each reduced through _keep with its tag above
+    bit nrows, as (pivots, deps).
+
+    pivots is the echelon of the columns that extended the span of the ones
+    before them, keyed by lowest set bit: its sorted keys are the matrix's
+    rank profile, the rows that extend the span of the rows before them.
+    deps holds per pair, in order, None when its column extended the span,
+    else the xor of its tag and the tags of the earlier columns that sum to
+    it.  With tags 1 << v on columns v = 0, 1, ..., that is the one
+    nullspace vector with a one at v and its other ones only at columns
+    that extended the span.
     """
     pivots: dict[int, int] = {}
-    for r in cols:
-        if r < 0 or r >> nrows:
-            raise ValueError(f"column has set bits beyond {nrows} rows")
-        _keep(pivots, r, nrows)
-    return sorted(pivots)
-
-
-def column_dependencies(
-    cols: Iterable[tuple[int, int]], nrows: int
-) -> list[Optional[int]]:
-    """Per (column, tag) pair, in order, of a matrix given by its columns
-    (bit i of each is row i): None when the column extends the span of the
-    columns before it, else the xor of its tag and the tags of the earlier
-    columns that sum to it, each column reduced through _keep with its tag
-    above bit nrows.  With tags 1 << v on columns v = 0, 1, ..., that is
-    the one nullspace vector with a one at v and its other ones only at
-    columns that extended the span."""
-    pivots: dict[int, int] = {}
-    out: list[Optional[int]] = []
+    deps: list[Optional[int]] = []
     for col, tag in cols:
         if col < 0 or col >> nrows:
             raise ValueError(f"column has set bits beyond {nrows} rows")
         left = _keep(pivots, col | tag << nrows, nrows)
-        out.append(None if left is None else left >> nrows)
-    return out
+        deps.append(None if left is None else left >> nrows)
+    return pivots, deps
 
 
 class LinearSolveResult(_Value):

@@ -152,7 +152,7 @@ def _report(
 
 
 def _conjecture1(
-    cb: CanonicalBasis, g_hex: str, dec: Decomposition, instance_id: str
+    cb: CanonicalBasis, g_hex: str, dec: Decomposition, instance_id: str, **tags
 ) -> ConjectureReport:
     k = cb.k
     strict_tails = _tail_parities(dec, cb, strict=True)
@@ -168,6 +168,7 @@ def _conjecture1(
         own_layer_entries=[
             (dec.layer_sums[m].bits >> cb.order[m - 1]) & 1 for m in range(1, k + 1)
         ],
+        **tags,
     )
 
 
@@ -177,26 +178,28 @@ def _conjecture2(
     dec: Decomposition,
     image_span: Gf2Basis,
     instance_id: str,
+    **tags,
 ) -> ConjectureReport:
     nonzero = [i for i, f in enumerate(dec.layer_sums) if not f.is_zero()]
     if not nonzero:
-        return _report(cb, 2, g_hex, dec, instance_id, "vacuous", j=None)
+        return _report(cb, 2, g_hex, dec, instance_id, "vacuous", j=None, **tags)
     j = max(nonzero)
     feasible = image_span.contains(dec.layer_sums[j])
     verdict = "holds" if feasible else "violated"
-    return _report(cb, 2, g_hex, dec, instance_id, verdict, j=j, feasible=feasible)
+    return _report(cb, 2, g_hex, dec, instance_id, verdict, j=j, feasible=feasible, **tags)
 
 
 def _gated_reports(
-    cb: CanonicalBasis, g: PairVector, g_hex: str, image_span: Gf2Basis, prefix: str
+    cb: CanonicalBasis, g: PairVector, g_hex: str, image_span: Gf2Basis, prefix: str, **tags
 ) -> tuple[ConjectureReport, ConjectureReport, bool]:
     """Both conjecture reports on one decomposition of g over cb, with ids
-    prefix + "c1" and "c2", and whether the implication gate applied: a
+    prefix + "c1" and "c2" and tags (a campaign's source and generator)
+    last in each witness, and whether the implication gate applied: a
     value-1 element supported in a non-hamiltonian G (layer 0 empty) must
     violate a conjecture, or the implementation is broken."""
     dec = _decomposed(cb, g)
-    r1 = _conjecture1(cb, g_hex, dec, prefix + "c1")
-    r2 = _conjecture2(cb, g_hex, dec, image_span, prefix + "c2")
+    r1 = _conjecture1(cb, g_hex, dec, prefix + "c1", **tags)
+    r2 = _conjecture2(cb, g_hex, dec, image_span, prefix + "c2", **tags)
     gated = cb.d[0] == 0 and value_pair(g) == 1
     if gated and "violated" not in (r1.verdict, r2.verdict):
         raise InternalInconsistencyError(
@@ -358,12 +361,11 @@ def run_campaign(
                 pseed = (basis_seed * 1_000_003 + trial * 1_009 + oi) & 0x7FFFFFFF
             cb = build_canonical_basis(G, order=order, perm_seed=pseed)
             r1, r2, gated = _gated_reports(
-                cb, g, g_hex, image_span, f"n{n}-t{trial:04d}-o{oi}-"
+                cb, g, g_hex, image_span, f"n{n}-t{trial:04d}-o{oi}-",
+                source=source, generator=generator,
             )
             implication_checks += gated
             for rep in (r1, r2):
-                rep.witness["source"] = source
-                rep.witness["generator"] = generator
                 counts[rep.verdict] += 1
                 reports.append(rep)
                 if sink is not None:

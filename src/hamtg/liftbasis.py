@@ -16,13 +16,13 @@ import os
 from pathlib import Path
 from typing import Optional
 
-from .gf2 import Gf2Basis
+from .gf2 import column_echelon
 from .permvec import _pair_row, pair_coordinates
 from .timegraph import Edge, OracleScaleError, Permutation, check_edge
 
 CACHE_ENV = "HAMTG_CACHE_DIR"
-# a cold build takes under half a second at order 7 and about 40 s at order
-# 8, so orders above 6 are asked for with an explicit cap
+# a cold build takes about a quarter of a second at order 7 and about 25 s
+# at order 8, so orders above 6 are asked for with an explicit cap
 DEFAULT_ORDER_CAP = 6
 # the order-n pair span's dimension (results/dimensions.json; at order 8 the
 # rank of all 40,320 pair indicators); order 1 keeps its seed permutation
@@ -51,23 +51,19 @@ def _lift_step(n: int, prev: list[Permutation]) -> list[Permutation]:
     order-(n-1) pair span under every anchor in 1..n, visiting the
     candidates in (anchor, previous-basis) order.
 
-    Each candidate enters the echelon as its pair indicator in the compact
-    coordinates of pair_coordinates(n).  A sum of pair indicators is
-    symmetric, g(e, e') = g(e', e), and zero at every pair no permutation
-    meets, so keeping only its entries at those coordinates is a linear map
-    that is injective on the pair span.  A candidate therefore extends the
-    span of the earlier ones exactly when its compact row extends theirs,
-    and the selection is the one full pair vectors would give.
+    Each candidate is a column of one column_echelon, its pair indicator in
+    the compact coordinates of pair_coordinates(n), with no tag.  A sum of
+    pair indicators is symmetric, g(e, e') = g(e', e), and zero at every
+    pair no permutation meets, so keeping only its entries at those
+    coordinates is a linear map that is injective on the pair span.  A
+    candidate therefore extends the span of the earlier ones exactly when
+    its compact column extends theirs, and the selection is the one full
+    pair vectors would give.
     """
     coords = pair_coordinates(n)
-    basis = Gf2Basis(len(coords))
-    out = []
-    for anchor in range(1, n + 1):
-        for pk in prev:
-            q = lift_perm(anchor, pk)
-            if basis.insert_raw(_pair_row(coords, q)).extended:
-                out.append(q)
-    return out
+    candidates = [lift_perm(anchor, pk) for anchor in range(1, n + 1) for pk in prev]
+    _, deps = column_echelon(((_pair_row(coords, q), 0) for q in candidates), len(coords))
+    return [q for q, d in zip(candidates, deps) if d is None]
 
 
 def base_basis(n: int) -> list[Permutation]:

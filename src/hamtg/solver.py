@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from .canonical import InternalInconsistencyError
-from .gf2 import _Value, bit_indices, column_dependencies, column_rank_profile, solve_system
+from .gf2 import _Value, bit_indices, column_echelon, solve_system
 from .liftbasis import build_basis
 from .timegraph import (
     Graph,
@@ -63,7 +63,7 @@ class LinearSystem(_Value):
     def kernel(self) -> list[tuple[int, int]]:
         """The nullspace of the wide rows over the roots, one vector per
         free root, ascending, each with its diagonal image (the xor of the
-        incident masks of its lift), read off gf2.column_dependencies of
+        incident masks of its lift), read off the column_echelon deps of
         the transposed rows: root v is tagged with bit v and, above bit
         nvars, the xor of its component's incident masks."""
         wide, nvars, masks = self.rows[:-1], self.nvars, self._tables[1]
@@ -78,7 +78,7 @@ class LinearSystem(_Value):
         low = (1 << nvars) - 1
         roots = bit_indices(low & ~self.contracted)
         tagged = ((cols.get(v, 0), 1 << v | image[v] << nvars) for v in roots)
-        deps = column_dependencies(tagged, len(wide))
+        _, deps = column_echelon(tagged, len(wide))
         return [(d & low, d >> nvars) for d in deps if d is not None]
 
 
@@ -214,7 +214,8 @@ def _chunk(tables: _BasisTables, j: int, b: int) -> _Chunk:
     # in e's block the column of a basis permutation through e is its
     # incident mask and every other column is zero, so the block's rank
     # profile needs only those few masks
-    for f in column_rank_profile([masks[i] for i in bit_indices(ce)], len(cols)):
+    pivots, _ = column_echelon([(masks[i], 0) for i in bit_indices(ce)], len(cols))
+    for f in sorted(pivots):
         # row f of the block lists the permutations through e and f
         row = ce & cols[f]
         size = row.bit_count()

@@ -9,7 +9,7 @@ from typing import Mapping
 
 import numpy as np
 
-from hamtg.gf2 import Gf2Basis, bit_indices, column_rank_profile
+from hamtg.gf2 import Gf2Basis, bit_indices, column_echelon
 from hamtg.lab import supported_coefficient_space
 from hamtg.permvec import EdgeVector, PairVector, pair_sum, support_mask
 from hamtg.timegraph import (
@@ -198,7 +198,8 @@ def assemble_per_edge_reference(G: TimeGraph, perms) -> tuple:
         if G.has_index(e) or not cols[e]:
             continue
         links, wide = [], []
-        for f in column_rank_profile([masks[i] for i in bit_indices(cols[e])], size):
+        pivots, _ = column_echelon([(masks[i], 0) for i in bit_indices(cols[e])], size)
+        for f in sorted(pivots):
             row = cols[e] & cols[f]
             if row.bit_count() == 1:
                 zero |= row

@@ -12,8 +12,7 @@ from hamtg.gf2 import (
     LengthMismatchError,
     _keep,
     bit_indices,
-    column_dependencies,
-    column_rank_profile,
+    column_echelon,
     rank,
     solve_system,
 )
@@ -161,10 +160,15 @@ def test_rank_agrees_with_independent_elimination():
 
 
 # ---------------------------------------------------------------------------
-# column_rank_profile
+# column_echelon: the rank profile, its sorted pivots
 
 def _columns(rows, length):
     return [sum((r >> c & 1) << i for i, r in enumerate(rows)) for c in range(length)]
+
+
+def column_rank_profile(cols, nrows):
+    """The rank profile column_echelon reads off untagged columns."""
+    return sorted(column_echelon([(c, 0) for c in cols], nrows)[0])
 
 
 def test_column_rank_profile_small_cases():
@@ -232,7 +236,11 @@ def test_column_rank_profile_rejects_tall_columns():
 
 
 # ---------------------------------------------------------------------------
-# column_dependencies
+# column_echelon: the dependencies of tagged columns
+
+def column_dependencies(cols, nrows):
+    return column_echelon(cols, nrows)[1]
+
 
 def kernel(rows, nvars):
     """The nullspace of rows, one vector per free variable, ascending: the
@@ -297,6 +305,25 @@ def test_column_dependencies_match_back_substitution(case):
             assert t >> nvars == functools.reduce(
                 operator.xor, (high[v] for v in bit_indices(d)), 0
             )
+
+
+@settings(max_examples=150, deadline=None)
+@given(profile_cases)
+def test_column_echelon_pivots_are_the_extending_columns(case):
+    # column v tagged 1 << v: one pivot per column that extended the span,
+    # keyed by its lowest row, whose tags name extending columns summing to it
+    length, rows = case
+    cols = _columns(rows, length)
+    pivots, deps = column_echelon([(c, 1 << v) for v, c in enumerate(cols)], len(rows))
+    extending = {v for v, d in enumerate(deps) if d is None}
+    assert len(pivots) == len(extending) == rank_oracle(rows, length)
+    low = (1 << len(rows)) - 1
+    for p, r in pivots.items():
+        assert (r & low) & -(r & low) == 1 << p
+        assert set(bit_indices(r >> len(rows))) <= extending
+        assert functools.reduce(
+            operator.xor, (cols[v] for v in bit_indices(r >> len(rows))), 0
+        ) == r & low
 
 
 # ---------------------------------------------------------------------------

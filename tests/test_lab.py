@@ -8,7 +8,7 @@ import pytest
 
 from hamtg import lab, liftbasis
 from hamtg.canonical import InternalInconsistencyError, build_canonical_basis
-from hamtg.gf2 import Gf2Basis, rank, solve_system
+from hamtg.gf2 import rank, solve_system
 from hamtg.lab import (
     audit_false_positive,
     check_conjecture1,
@@ -29,6 +29,7 @@ from hamtg.permvec import (
 )
 from hamtg.solver import decide_time_graph
 from hamtg.timegraph import (
+    Edge,
     Graph,
     OracleScaleError,
     TimeGraph,
@@ -337,10 +338,15 @@ def test_audit_of_the_time_graph_equals_the_crossval_audit(monkeypatch):
 
 
 @pytest.fixture(scope="module")
-def order7_false_positive():
+def basis7():
+    return build_basis(7, cap=7)
+
+
+@pytest.fixture(scope="module")
+def order7_false_positive(basis7):
     """The order-7 time-graph false positive: 200 edges added in a seeded
     order while no permutation stays incident; the decider says yes."""
-    basis = build_basis(7, cap=7)
+    basis = basis7
     edges = list(range(294))
     random.Random(0).shuffle(edges)
     T = TimeGraph(7, 0)
@@ -362,6 +368,27 @@ def test_audit_of_a_real_false_positive_violates_both(order7_false_positive):
     assert audit["reports"][1]["witness"]["j"] == 50
     assert audit["implication_ok"] is True
     assert audit["witness"] == list(witness)
+
+
+# the smallest known order-7 false positive, as (i, j, t): dropping any one
+# of its 20 edges makes the decider say no
+TS_EDGES = [
+    (1, 6, 1), (2, 6, 1), (4, 6, 1), (6, 1, 1), (1, 3, 2), (6, 5, 2), (3, 2, 3),
+    (3, 4, 3), (3, 5, 3), (5, 3, 3), (2, 5, 4), (3, 4, 4), (4, 5, 4), (5, 2, 4),
+    (5, 4, 4), (2, 7, 5), (5, 1, 5), (1, 7, 6), (7, 1, 6), (7, 2, 6),
+]
+
+
+def test_the_20_edge_order7_time_graph_is_a_false_positive(basis7):
+    T = TimeGraph.from_edges(7, [Edge(*e) for e in TS_EDGES])
+    assert T.edge_count() == 20
+    assert not is_hamiltonian_oracle(T)
+    decision = decide_time_graph(T, basis7)
+    assert decision.answer and len(decision.witness) == 29
+    assert (decision.nvars, decision.rows, decision.rank) == (4320, 6018, 4320)
+    audit = audit_false_positive(T, decision.witness, basis7)
+    assert [r["verdict"] for r in audit["reports"]] == ["violated", "violated"]
+    assert audit["implication_ok"] is True
 
 
 def test_both_reports_of_the_order7_audit_replay(order7_false_positive):
@@ -438,19 +465,20 @@ def test_recorded_dimensions_are_reproduced():
 
 
 def test_dimension_table_lifts_each_order_once(monkeypatch):
-    # one lift step per order 2..6, from the order below; the inserts are
-    # the lift candidates, n! per order, and the brute-force pair rank is
-    # given the table's own pair rows, n! per order too
-    calls = {"lift": 0, "insert": 0, "rank_rows": 0}
-    lift_step, insert_raw = liftbasis._lift_step, Gf2Basis.insert_raw
+    # one lift step per order 2..6, from the order below; the columns of its
+    # elimination are the lift candidates, n! per order, and the brute-force
+    # pair rank is given the table's own pair rows, n! per order too
+    calls = {"lift": 0, "columns": 0, "rank_rows": 0}
+    lift_step, echelon = liftbasis._lift_step, liftbasis.column_echelon
 
     def counted_lift(n, prev):
         calls["lift"] += 1
         return lift_step(n, prev)
 
-    def counted_insert(self, bits):
-        calls["insert"] += 1
-        return insert_raw(self, bits)
+    def counted_echelon(cols, nrows):
+        cols = list(cols)
+        calls["columns"] += len(cols)
+        return echelon(cols, nrows)
 
     def counted_solve(rows, rhs, nvars):
         rows = list(rows)
@@ -458,11 +486,11 @@ def test_dimension_table_lifts_each_order_once(monkeypatch):
         return solve_system(rows, rhs, nvars)
 
     monkeypatch.setattr(liftbasis, "_lift_step", counted_lift)
-    monkeypatch.setattr(Gf2Basis, "insert_raw", counted_insert)
+    monkeypatch.setattr(liftbasis, "column_echelon", counted_echelon)
     monkeypatch.setattr(lab, "solve_system", counted_solve)
     table = dimension_table(7, pair_max=6)
     factorials = 2 + 6 + 24 + 120 + 720
-    assert calls == {"lift": 5, "insert": factorials, "rank_rows": factorials}
+    assert calls == {"lift": 5, "columns": factorials, "rank_rows": factorials}
     path = Path(__file__).resolve().parent.parent / "results" / "dimensions.json"
     # the recorded rows, orders 2..7, with no pair span at order 7
     expected = json.loads(path.read_text())["rows"][:6]

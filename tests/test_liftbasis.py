@@ -195,12 +195,14 @@ PINNED_BASES = {
     4: "fb358aef846ec458ee66550d89c9343142f2f63fff42ca0b629f438cb8f2e384",
     5: "c58916347faeef01f564a5117e919eb2f7254ab6aa46d730b9d14d16bd339ce1",
     6: "ea63e2a754d370f45440d779a6caa46b25ccbc8e74bf323847c98cefb2730d2f",
+    7: "e1bcbc075239ab352f6705dcae805befb6d8c0044ca88e4796f0d82913d1f4cc",
 }
 
 
 def test_build_basis_is_pinned():
+    # order 7 is beyond the default cap and takes about 0.3 s cold
     got = {
-        n: hashlib.sha256(json.dumps(build_basis(n, cache_dir=None)).encode()).hexdigest()
+        n: hashlib.sha256(json.dumps(build_basis(n, cache_dir=None, cap=n)).encode()).hexdigest()
         for n in PINNED_BASES
     }
     assert got == PINNED_BASES

@@ -10,7 +10,8 @@ strips those, so no check in the package may rely on one.  So is a value
 type's ``__init__`` that only stores its arguments: ``gf2._Value`` writes
 that one for every subclass that leaves it out.  And so is a loop that
 reduces a row at lowest-set-bit pivots: every echelon in the package
-reduces through ``gf2._keep``, the only such loop.
+reduces through ``gf2._keep``, the only such loop, and no module but
+``gf2`` names it.
 """
 
 import ast
@@ -300,6 +301,32 @@ def test_one_loop_reduces_at_lowest_bit_pivots():
     paths = sorted(PACKAGE_DIR.glob("*.py"))
     assert len(paths) >= 9
     assert [msg for path in paths for msg in reduction_loops(path)] == ["gf2._keep"]
+
+
+def references_keep(path: Path) -> bool:
+    """Whether the module's code names _keep: imports, reads or attributes."""
+    return any(
+        isinstance(node, ast.alias) and node.name == "_keep"
+        or isinstance(node, ast.Name) and node.id == "_keep"
+        or isinstance(node, ast.Attribute) and node.attr == "_keep"
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+    )
+
+
+def test_only_gf2_references_its_reduction_loop():
+    # every other module eliminates through a gf2 front-end: Gf2Basis,
+    # solve_system or column_echelon
+    paths = sorted(PACKAGE_DIR.glob("*.py"))
+    assert [path.stem for path in paths if references_keep(path)] == ["gf2"]
+
+
+def test_check_reports_a_reference_to_keep(tmp_path):
+    for line in ("from .gf2 import _keep\n", "from . import gf2\nr = gf2._keep({}, 1, 2)\n"):
+        src = tmp_path / "sample.py"
+        src.write_text(line)
+        assert references_keep(src)
+    src.write_text("keep = 1\n")
+    assert not references_keep(src)
 
 
 def test_check_reports_a_second_reduction_loop(tmp_path):

@@ -375,6 +375,44 @@ def test_partners_are_each_blocks_rank_profile():
                 assert tables[3][e // 8][1 << e % 8] is entry
 
 
+def test_each_live_edge_block_has_full_rank_through_order_5():
+    # the decider is exact through order 5: there every permutation p
+    # through an edge e is the only one through e and some second edge of
+    # p, so e's block of pair rows has full rank, as many profile rows as
+    # cols[e] has bits, and a missing e forces every permutation through it
+    # to 0.  The block's rank is read off its folded entry: one per zero
+    # bit, one per equal mask member beside the first, one per wide row.
+    # Order 5's 20 layer-1 edges keep a wide row each; at order 6 all but
+    # two live edges fall short, so there the argument stops
+    short, wide = {}, {}
+    for n in (3, 4, 5, 6):
+        perms = build_basis(n)
+        tables = solver._basis_tables(n, tuple(perms))
+        cols, _, live, _ = tables
+        short[n], wide[n] = [], []
+        for e in bit_indices(live):
+            zero, equal, widened = solver._chunk(tables, e // 8, 1 << e % 8)
+            if widened:
+                wide[n].append((edge_from_index(e, n).t, len(widened[0][1])))
+            rank = zero.bit_count() + sum(m.bit_count() - 1 for m in equal)
+            rank += len(widened[0][1]) if widened else 0
+            # the block's distinct rows, on the permutations through e alone
+            through = bit_indices(cols[e])
+            block = {sum(((cols[e] & c) >> v & 1) << k for k, v in enumerate(through)) for c in cols}
+            assert rank == rank_oracle(list(block), len(through))
+            if rank < cols[e].bit_count():
+                short[n].append((rank, cols[e].bit_count()))
+            elif n <= 5:
+                G = TimeGraph(n, TimeGraph.complete(n).edges & ~(1 << e))
+                system = assemble_system(G, perms)
+                assert all(not system.lift(v) & cols[e] for v, _ in system.kernel())
+    assert short[3] == short[4] == short[5] == wide[3] == wide[4] == []
+    assert wide[5] == [(1, 1)] * 20
+    assert len(short[6]) == 148 and live.bit_count() == 150
+    assert {r for r, _ in short[6]} == {18, 20, 23}
+    assert {size for _, size in short[6]} == {23, 24}
+
+
 def test_list_basis_decides_like_tuple_basis():
     perms = build_basis(4)
     as_lists = [list(p) for p in perms]
