@@ -17,7 +17,10 @@ come from one elimination of the columns of the candidates' 0/1 incidence
 matrix, one column per edge.  The candidate order only permutes the rows,
 which leaves the column dependencies alone, so the columns of a fixed
 spanning set of edges, found once per order, span the column space of
-every build.
+every build.  Those columns are transposed out of a per-order lane table,
+one int per permutation with one byte per spanning edge: eight candidates'
+lanes, shifted by their place in the block, fill eight rows of every
+column at once, and column j is byte j of every block.
 """
 
 from __future__ import annotations
@@ -110,6 +113,17 @@ def _spanning_edges(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return spanning, tuple(d for d in deps if d is not None)
 
 
+@functools.cache
+def _lanes(n: int) -> tuple[int, ...]:
+    """Per permutation_table entry k, its lane: the int whose byte j has
+    bit 0 set when entry k goes through spanning edge j.  Then one 0 lane,
+    which pads a candidate list to a multiple of 8 (n! is not one for
+    n < 4).  Kept per order like _spanning_edges."""
+    byte = {e: 1 << 8 * j for j, e in enumerate(_spanning_edges(n)[0])}
+    lanes = [sum(byte.get(e, 0) for e in edges) for _, _, edges in permutation_table(n)]
+    return (*lanes, 0)
+
+
 def _shuffle(x: list, seed: int | str) -> None:
     """Shuffle x in place exactly as random.Random(seed).shuffle(x) does,
     with the same getrandbits draws, inline (Durstenfeld, CACM 1964).  The
@@ -142,6 +156,10 @@ def build_canonical_basis(
     position of its last missing edge (0 if none), the last position the
     ascending pass below writes onto it.  As _shuffle's swaps depend only
     on the length, shuffling the indices shuffles the table.
+
+    The kept candidates are the rank profile of their incidence rows, read
+    off one column_echelon of the spanning edges' columns, which are
+    transposed out of the lane table (_lanes) eight candidates at a time.
     """
     check_perm_cap(G.n)
     order = _checked_order(G, order)
@@ -156,17 +174,23 @@ def build_canonical_basis(
     if perm_seed is not None:
         _shuffle(candidates, perm_seed)
     candidates.sort(key=layer_of.__getitem__)
-    # the greedy selection is the rank profile of the candidates' 0/1
-    # matrix, read off the echelon of its spanning columns: bit i of column
-    # e is set when candidate i goes through e, and its tag 1 << e records
-    # that a row combines e
-    bit = [0] * size
-    for i, k in enumerate(candidates):
-        bit[k] = 1 << i
-    pivots, deps = column_echelon(
-        [(sum(map(bit.__getitem__, through[e])), 1 << e) for e in _spanning_edges(G.n)[0]],
-        size,
+    # bit i of the column of spanning edge e is set when candidate i goes
+    # through e, and its tag 1 << e records that a row combines e.  Byte j
+    # of block i holds candidates 8i..8i+7 at spanning edge j, so column j
+    # is byte j of every block; the 0 lane pads the last block
+    spanning = _spanning_edges(G.n)[0]
+    width = len(spanning)
+    lane = _lanes(G.n)
+    candidates.extend([size] * (-size % 8))
+    blocks = b"".join(
+        (
+            lane[a] | lane[b] << 1 | lane[c] << 2 | lane[d] << 3
+            | lane[e] << 4 | lane[f] << 5 | lane[g] << 6 | lane[h] << 7
+        ).to_bytes(width, "little")
+        for a, b, c, d, e, f, g, h in zip(*[iter(candidates)] * 8)
     )
+    cols = [(int.from_bytes(blocks[j::width], "little"), 1 << e) for j, e in enumerate(spanning)]
+    pivots, deps = column_echelon(cols, size)
     if len(pivots) != len(deps):
         raise InternalInconsistencyError("a spanning column is dependent")
     layers: list[list[BasisElement]] = [[] for _ in range(len(order) + 1)]

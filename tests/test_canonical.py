@@ -1,5 +1,8 @@
+import hashlib
 import json
 import random
+import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -236,6 +239,7 @@ def test_spanning_edges_span_the_edge_span(n):
 
 def test_a_dependent_spanning_column_is_fatal(monkeypatch):
     spanning, relations = canonical._spanning_edges(4)
+    canonical._lanes(4)  # kept per order, so built before the patch
     monkeypatch.setattr(
         canonical, "_spanning_edges", lambda n: (spanning + spanning[:1], relations)
     )
@@ -269,6 +273,47 @@ def test_order6_edge_builder_matches_per_layer_rescan(seed):
     got = [(el.layer, el.slot, el.perm) for el in cb.elements]
     assert got == canonical_layers_reference(G, order, perm_seed, edge_indicator)
     assert cb.rank == 121
+
+
+def test_order7_edge_builder_matches_per_layer_rescan():
+    # 211 spanning columns of 5,040 rows, transposed out of the lane table
+    rng = random.Random("order7")
+    G, order = random_instance(7, rng)
+    perm_seed = rng.randrange(2**31)
+    cb = build_canonical_basis(G, order=order, perm_seed=perm_seed)
+    got = [(el.layer, el.slot, el.perm) for el in cb.elements]
+    assert got == canonical_layers_reference(G, order, perm_seed, edge_indicator)
+    assert cb.rank == 211
+
+
+def test_builds_are_pinned():
+    # layers and echelon rows of unseeded and seeded builds at orders 1-7;
+    # at orders 1-3, n! is not a multiple of 8, so the last block is padded
+    digest = hashlib.sha256()
+    for n in range(1, 8):
+        rng = random.Random(f"build-digest:{n}")
+        G, order = random_instance(n, rng)
+        for perm_seed in (None, 7, 2**40 + 3):
+            cb = build_canonical_basis(G, order=order, perm_seed=perm_seed)
+            digest.update(repr(cb.layers).encode())
+            digest.update(repr([(low, row) for low, row, _ in cb._echelon]).encode())
+    assert digest.hexdigest() == (
+        "3d3ed839ffe6670dc2fa84f91b4d82bed28475aba4467ed3a12c23d09aa17479"
+    )
+
+
+def test_a_warm_order7_build_holds_no_list_of_n_factorial_powers_of_two():
+    # an earlier builder kept 1 << i for each of the 5,040 candidate
+    # positions; a warm build now peaks below that list's size alone
+    G, order = random_instance(7, random.Random("memory"))
+    build_canonical_basis(G, order=order, perm_seed=1)
+    tracemalloc.start()
+    try:
+        build_canonical_basis(G, order=order, perm_seed=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < sum(sys.getsizeof(1 << i) for i in range(5040))
 
 
 # ---------------------------------------------------------------------------
