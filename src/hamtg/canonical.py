@@ -29,12 +29,11 @@ import functools
 import random
 from typing import Optional, Sequence
 
-from .gf2 import _Value, column_echelon
+from .gf2 import _set, _Value, column_echelon
 from .permvec import EdgeVector, PairVector, diagonal, pair_sum
 from .timegraph import (
     TimeGraph,
     check_perm_cap,
-    incident_mask,
     permutation_table,
     permutations_through,
 )
@@ -58,11 +57,12 @@ class CanonicalBasis(_Value):
     (pivot, row, element) triple per element, highest pivot first: the row
     is a sum of spanning columns, its lowest set bit, kept as a power of
     two in pivot, is the element's candidate position, and its bits from
-    n! up are the edges it sums.
+    n! up are the edges it sums.  The hidden _masks holds each element's
+    incident mask, in the order of _echelon.
     """
 
     _fields = ("G", "order", "layers", "perm_seed")
-    __slots__ = (*_fields, "_echelon")
+    __slots__ = (*_fields, "_echelon", "_masks")
 
     @property
     def k(self) -> int:
@@ -195,15 +195,19 @@ def build_canonical_basis(
         raise InternalInconsistencyError("a spanning column is dependent")
     layers: list[list[BasisElement]] = [[] for _ in range(len(order) + 1)]
     echelon = []
+    masks = []
     for i in sorted(pivots):
         k = candidates[i]
         li = layer_of[k]
-        el = BasisElement(li, len(layers[li]), table[k][0])
+        perm, mask, _ = table[k]
+        el = BasisElement(li, len(layers[li]), perm)
         layers[li].append(el)
         echelon.append((1 << i, pivots[i], el))
+        masks.append(mask)
     echelon.reverse()
+    masks.reverse()
     return CanonicalBasis(
-        G, order, tuple(map(tuple, layers)), perm_seed, tuple(echelon)
+        G, order, tuple(map(tuple, layers)), perm_seed, tuple(echelon), tuple(masks)
     )
 
 
@@ -211,50 +215,65 @@ class Decomposition(_Value):
     """g = gc + sum of selected basis pair indicators, gc a closed cycle.
 
     alpha lists the (layer, slot) positions with coefficient 1; layer_sums[i]
-    is the xor of the selected layer-i edge vectors.
+    is the xor of the selected layer-i edge vectors.  The hidden _gc holds
+    gc, or, as decompose leaves it, g and the selected incident masks, from
+    which gc is summed over the pair space on first read and then kept.
     """
 
-    __slots__ = _fields = ("alpha", "gc", "layer_sums")
+    _fields = ("alpha", "gc", "layer_sums")
+    __slots__ = ("alpha", "_gc", "layer_sums")
+
+    @property
+    def gc(self) -> PairVector:
+        gc = self._gc
+        if type(gc) is tuple:
+            g, masks = gc
+            gc = g ^ pair_sum(g.n, masks)
+            _set(self, "_gc", gc)
+        return gc
 
 
 def decompose(g: PairVector, cb: CanonicalBasis) -> Decomposition:
     """Split g into a closed cycle plus canonical basis elements.
 
-    The coefficients are those of g's diagonal image over the edge basis;
-    they are unique, and the reconstruction is verified bit-exactly.  The
-    image lies in the edge span exactly when it meets every relation of
-    the spanning edges evenly; the coefficients are then read off the
-    basis's echelon by back-substitution.
+    The coefficients are those of g's diagonal image over the edge basis,
+    read off the basis's echelon by back-substitution; they are unique.
+    The residual gc is checked in the edge space: the diagonal of a pair
+    indicator is its incident mask, so gc has a zero diagonal exactly when
+    the selected masks sum to g's diagonal.  When they do not, the image
+    escapes the edge span if it meets some relation of the spanning edges
+    oddly, and the implementation is broken otherwise.  gc itself is summed
+    on first read.
     """
     if g.n != cb.G.n:
         raise ValueError(f"order mismatch: {g.n} vs {cb.G.n}")
     pg = diagonal(g).bits
-    if any((pg & rel).bit_count() & 1 for rel in _spanning_edges(g.n)[1]):
-        raise InternalInconsistencyError(
-            "diagonal image escapes the canonical span"
-        )
     # highest pivot first, a pivot's coefficient is the parity of its row's
     # edges in pg and of its higher pivots already set; y holds both
     y = pg << len(permutation_table(g.n))
     chosen = []
-    for low, row, el in cb._echelon:
+    for (low, row, el), mask in zip(cb._echelon, cb._masks):
         if (row & y).bit_count() & 1:
             y |= low
-            chosen.append(el)
+            chosen.append((el, mask))
     masks = []
     sums = [0] * len(cb.layers)
     alpha = []
-    for el in reversed(chosen):
+    residual = pg
+    for el, mask in reversed(chosen):
         alpha.append((el.layer, el.slot))
-        mask = incident_mask(el.perm)
         masks.append(mask)
         sums[el.layer] ^= mask
-    gc = g ^ pair_sum(g.n, masks)
-    if not diagonal(gc).is_zero():
+        residual ^= mask
+    if residual:
+        if any((pg & rel).bit_count() & 1 for rel in _spanning_edges(g.n)[1]):
+            raise InternalInconsistencyError(
+                "diagonal image escapes the canonical span"
+            )
         raise InternalInconsistencyError("residual is not a closed cycle")
     empty = EdgeVector(g.n)  # most layer sums are zero; they share one
     layer_sums = tuple(EdgeVector(g.n, s) if s else empty for s in sums)
-    return Decomposition(tuple(alpha), gc, layer_sums)
+    return Decomposition(tuple(alpha), (g, tuple(masks)), layer_sums)
 
 
 def _tail_parities(
@@ -263,13 +282,17 @@ def _tail_parities(
     """For m = 1..k, the value at e_m of the sum of the layer sums from m on.
 
     With strict the sum starts beyond m, so its last entry is always 0.
+    Above the last nonzero layer sum every such sum, and its value, is 0.
     """
-    k = cb.k
-    tails = [0] * (k + 2)  # tails[i]: xor of the layer sums i..k
-    for i in range(k, 0, -1):
-        tails[i] = tails[i + 1] ^ dec.layer_sums[i].bits
-    start = 1 if strict else 0
-    return [(tails[m + start] >> cb.order[m - 1]) & 1 for m in range(1, k + 1)]
+    sums = dec.layer_sums
+    top = max((i for i, f in enumerate(sums) if f.bits), default=0)
+    parities = [0] * cb.k
+    tail = 0  # xor of the layer sums m..top
+    for m in range(top, 0, -1):
+        beyond = tail
+        tail ^= sums[m].bits
+        parities[m - 1] = ((beyond if strict else tail) >> cb.order[m - 1]) & 1
+    return parities
 
 
 def tail_sum_check(dec: Decomposition, cb: CanonicalBasis) -> bool:

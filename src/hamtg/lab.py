@@ -180,10 +180,9 @@ def _conjecture2(
     instance_id: str,
     **tags,
 ) -> ConjectureReport:
-    nonzero = [i for i, f in enumerate(dec.layer_sums) if not f.is_zero()]
-    if not nonzero:
+    j = max((i for i, f in enumerate(dec.layer_sums) if f.bits), default=None)
+    if j is None:
         return _report(cb, 2, g_hex, dec, instance_id, "vacuous", j=None, **tags)
-    j = max(nonzero)
     feasible = image_span.contains(dec.layer_sums[j])
     verdict = "holds" if feasible else "violated"
     return _report(cb, 2, g_hex, dec, instance_id, verdict, j=j, feasible=feasible, **tags)
@@ -200,7 +199,7 @@ def _gated_reports(
     dec = _decomposed(cb, g)
     r1 = _conjecture1(cb, g_hex, dec, prefix + "c1", **tags)
     r2 = _conjecture2(cb, g_hex, dec, image_span, prefix + "c2", **tags)
-    gated = cb.d[0] == 0 and value_pair(g) == 1
+    gated = not cb.layers[0] and value_pair(g) == 1
     if gated and "violated" not in (r1.verdict, r2.verdict):
         raise InternalInconsistencyError(
             f"{prefix}c1/c2: value-1 supported element on a non-hamiltonian "
@@ -402,9 +401,10 @@ def audit_false_positive(
     if not is_supported_in(gw, T) or value_pair(gw) != 1:
         raise InternalInconsistencyError("decision witness is not a valid combination")
     g_hex = format(gw.bits, "x")
-    r1, r2, _ = _gated_reports(
-        build_canonical_basis(T), gw, g_hex, supported_image_span(T, basis_perms), "audit-"
-    )
+    # the image span's elimination runs before the build keeps the order's
+    # lane table, so the two never hold their peaks at once
+    image_span = supported_image_span(T, basis_perms)
+    r1, r2, _ = _gated_reports(build_canonical_basis(T), gw, g_hex, image_span, "audit-")
     return {
         "g_hex": g_hex,
         "witness": list(witness),

@@ -161,11 +161,17 @@ def pair_sum(n: int, masks: Iterable[int]) -> PairVector:
 
 
 def diagonal(g: PairVector) -> EdgeVector:
-    """Diagonal extraction g(e, e); linear in g.  Bit (e, e) is bit
-    e * (size + 1): every (size + 1)-th digit of g's size * size digit binary
-    string, e descending."""
+    """Diagonal extraction g(e, e); linear in g."""
+    return EdgeVector(g.n, _diagonal_bits(g))
+
+
+@functools.lru_cache(maxsize=1)
+def _diagonal_bits(g: PairVector) -> int:
+    """Bit (e, e) is bit e * (size + 1): every (size + 1)-th digit of g's
+    size * size digit binary string, e descending.  Kept for the last g, as
+    a campaign trial reads one g's diagonal once per enumeration."""
     size = edge_space_size(g.n)
-    return EdgeVector(g.n, int(format(g.bits, f"0{size * size}b")[:: size + 1], 2))
+    return int(format(g.bits, f"0{size * size}b")[:: size + 1], 2)
 
 
 def row_at(g: PairVector, e: Edge) -> EdgeVector:
@@ -198,10 +204,12 @@ def is_closed_cycle(g: PairVector) -> bool:
     return diagonal(g).is_zero()
 
 
+@functools.lru_cache(maxsize=1)
 def support_mask(g: PairVector) -> int:
     """Bitmask over edge indices whose row is nonzero.  Row e is the size
     digits from (size - 1 - e) * size on of g's size * size digit binary
-    string, as in diagonal; a shift of g per row would copy all of g."""
+    string, as in diagonal; a shift of g per row would copy all of g.  Kept
+    for the last g, like the diagonal."""
     size = edge_space_size(g.n)
     digits = format(g.bits, f"0{size * size}b")
     out = 0

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import pickle
 import random
 import sys
 import tracemalloc
@@ -30,6 +31,7 @@ from hamtg.permvec import (
     diagonal,
     edge_indicator,
     pair_indicator,
+    pair_sum,
     value,
 )
 from hamtg.timegraph import (
@@ -361,6 +363,80 @@ def test_decompose_roundtrip(n):
             assert dec.layer_sums[li].bits == expected
 
 
+def test_order6_gc_is_summed_on_first_read():
+    rng = random.Random(46)
+    G, order = random_instance(6, rng)
+    cb = build_canonical_basis(G, order=order, perm_seed=rng.randrange(2**31))
+    perms = all_permutations(6)
+    lookup = {(el.layer, el.slot): el for el in cb.elements}
+    for _ in range(3):
+        g = PairVector.zero(6)
+        for _ in range(3):
+            g = g ^ pair_indicator(rng.choice(perms))
+        dec = decompose(g, cb)
+        assert type(dec._gc) is tuple
+        clone = pickle.loads(pickle.dumps(dec))
+        selected = [lookup[key].perm for key in dec.alpha]
+        gc = dec.gc
+        assert gc == g ^ pair_sum(6, [incident_mask(p) for p in selected])
+        assert diagonal(gc).is_zero()
+        assert dec._gc is gc is dec.gc  # summed once, then kept
+        assert clone == dec and hash(clone) == hash(dec)
+        back = gc
+        for p in selected:
+            back = back ^ pair_indicator(p)
+        assert back == g
+
+
+def test_a_wrong_mask_leaves_a_residual_that_is_not_a_closed_cycle():
+    rng = random.Random(47)
+    G, order = random_instance(5, rng)
+    cb = build_canonical_basis(G, order=order)
+    i = rng.randrange(cb.rank)
+    el = cb._echelon[i][2]
+    masks = list(cb._masks)
+    assert masks[i] == incident_mask(el.perm)
+    masks[i] ^= 1 << rng.choice(bit_indices(masks[i]))
+    tampered = type(cb)(cb.G, cb.order, cb.layers, cb.perm_seed, cb._echelon, tuple(masks))
+    g = pair_indicator(el.perm)
+    assert decompose(g, cb).alpha == ((el.layer, el.slot),)
+    with pytest.raises(InternalInconsistencyError, match="residual is not a closed cycle"):
+        decompose(g, tampered)
+
+
+def test_decompositions_are_pinned():
+    # alpha, gc and layer sums under both enumerations, unseeded and seeded,
+    # at orders 3-6, of an incident combination, a sum of two pair
+    # indicators and one pair indicator; the last two reach layers above 0,
+    # which the campaign pins never do.  gc is hashed as hex, since its
+    # decimal repr exceeds int's default digit limit at order 6
+    digest = hashlib.sha256()
+    for n in range(3, 7):
+        rng = random.Random(f"decompose-digest:{n}")
+        G, order = random_instance(n, rng)
+        perms = all_permutations(n)
+        p, q = rng.sample(perms, 2)
+        elements = [
+            sample_incident_combination(G, rng),
+            pair_indicator(p) ^ pair_indicator(q),
+            pair_indicator(rng.choice(perms)),
+        ]
+        top = 0
+        for enum in (None, order):
+            for perm_seed in (None, rng.randrange(2**31)):
+                cb = build_canonical_basis(G, order=enum, perm_seed=perm_seed)
+                for g in elements:
+                    dec = decompose(g, cb)
+                    top = max([top, *(layer for layer, _ in dec.alpha)])
+                    digest.update(
+                        repr((dec.alpha, format(dec.gc.bits, "x"), dec.layer_sums)).encode()
+                    )
+        assert top > 0
+    assert digest.hexdigest() == (
+        "5ac988b0d7cb19270e029fd91885b9fca23c887500fd65686fd97d16524976f4"
+    )
+
+
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_a_self_loop_on_the_diagonal_escapes_the_span(n):
     # no permutation goes through a self-loop edge (i, i, t), so no element
@@ -417,6 +493,30 @@ def test_tail_sums_vanish_for_supported_elements():
             g = random_supported(G, rng)
             dec = decompose(g, cb)
             assert tail_sum_check(dec, cb)
+
+
+def test_tail_parities_match_their_definition():
+    # sums of two pair indicators decompose into layers above 0, where the
+    # tails are nonzero; each is summed here from its definition
+    rng = random.Random(78)
+    nonzero = 0
+    for n in (4, 5):
+        perms = all_permutations(n)
+        for _ in range(8):
+            G, order = random_instance(n, rng)
+            cb = build_canonical_basis(G, order=order)
+            g = pair_indicator(rng.choice(perms)) ^ pair_indicator(rng.choice(perms))
+            dec = decompose(g, cb)
+            for strict in (False, True):
+                want = []
+                for m in range(1, cb.k + 1):
+                    tail = 0
+                    for f in dec.layer_sums[m + strict :]:
+                        tail ^= f.bits
+                    want.append(tail >> cb.order[m - 1] & 1)
+                assert canonical._tail_parities(dec, cb, strict) == want
+                nonzero += any(want)
+    assert nonzero
 
 
 def test_tail_sums_vacuous_for_complete_graph():

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from hamtg import lab, liftbasis
+from hamtg import canonical, lab, liftbasis, permvec
 from hamtg.canonical import InternalInconsistencyError, build_canonical_basis
 from hamtg.gf2 import rank, solve_system
 from hamtg.lab import (
@@ -222,6 +222,24 @@ def test_campaign_decomposes_once_per_order(monkeypatch):
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "33dc9cb7799e2a5a445aeb1ea618d2ad593e9e4ad20c65c88d40a7388fb84301"
     )
+
+
+def test_campaign_reads_each_trials_support_and_diagonal_once(monkeypatch):
+    # both enumerations of a trial decompose one g: its support and its
+    # diagonal are computed over the pair space once, and no gc is summed,
+    # so pair_sum runs only to sample g
+    lab_sums = _count_pair_sums(monkeypatch)
+    canonical_sums = []
+    monkeypatch.setattr(canonical, "pair_sum", lambda n, masks: canonical_sums.append(n))
+    permvec.support_mask.cache_clear()
+    permvec._diagonal_bits.cache_clear()
+    run_campaign(5, 4, 0, orders=2)
+    support = permvec.support_mask.cache_info()
+    assert (support.misses, support.hits) == (4, 4)
+    diagonal = permvec._diagonal_bits.cache_info()
+    assert diagonal.misses == 4 and diagonal.hits >= 4
+    assert lab_sums == [5] * 4
+    assert canonical_sums == []
 
 
 def test_campaign_reports_are_pinned():
