@@ -26,6 +26,7 @@ column at once, and column j is byte j of every block.
 from __future__ import annotations
 
 import functools
+import itertools
 import random
 from typing import Optional, Sequence
 
@@ -53,16 +54,31 @@ class CanonicalBasis(_Value):
     """Layered basis of the edge span.
 
     order is the enumeration of the complement, as edge indices, and
-    layers holds layers 0..k of the elements.  The hidden _echelon holds a
-    (pivot, row, element) triple per element, highest pivot first: the row
-    is a sum of spanning columns, its lowest set bit, kept as a power of
-    two in pivot, is the element's candidate position, and its bits from
-    n! up are the edges it sums.  The hidden _masks holds each element's
-    incident mask, in the order of _echelon.
+    layers holds layers 0..k of the elements.  The hidden _kept holds a
+    (pivot, row, index, layer) entry per element, highest pivot first: the
+    row is a sum of spanning columns, its lowest set bit, kept as a power
+    of two in pivot, is the element's candidate position, and its bits
+    from n! up are the edges it sums; index is the element's
+    permutation_table index.  As pivots ascend with layer, an element's
+    slot is its distance to the lowest pivot of its layer.  The layers'
+    BasisElements are built from _kept on first read and then kept in the
+    hidden _layers.
     """
 
     _fields = ("G", "order", "layers", "perm_seed")
-    __slots__ = (*_fields, "_echelon", "_masks")
+    __slots__ = ("G", "order", "_layers", "perm_seed", "_kept")
+
+    @property
+    def layers(self) -> tuple[tuple[BasisElement, ...], ...]:
+        layers = self._layers
+        if layers is None:
+            table = permutation_table(self.G.n)
+            out: list[list[BasisElement]] = [[] for _ in range(self.k + 1)]
+            for _, _, k, li in reversed(self._kept):
+                out[li].append(BasisElement(li, len(out[li]), table[k][0]))
+            layers = tuple(map(tuple, out))
+            _set(self, "_layers", layers)
+        return layers
 
     @property
     def k(self) -> int:
@@ -79,7 +95,12 @@ class CanonicalBasis(_Value):
 
     @property
     def rank(self) -> int:
-        return len(self._echelon)
+        return len(self._kept)
+
+    @property
+    def _layer0_empty(self) -> bool:
+        """Whether layer 0 is empty, read off the lowest pivot's layer."""
+        return not self._kept or self._kept[-1][3] > 0
 
 
 def _checked_order(
@@ -160,6 +181,8 @@ def build_canonical_basis(
     The kept candidates are the rank profile of their incidence rows, read
     off one column_echelon of the spanning edges' columns, which are
     transposed out of the lane table (_lanes) eight candidates at a time.
+    The basis keeps their echelon entries; its BasisElements are built
+    only when its layers are read.
     """
     check_perm_cap(G.n)
     order = _checked_order(G, order)
@@ -173,7 +196,11 @@ def build_canonical_basis(
     candidates = list(range(size))
     if perm_seed is not None:
         _shuffle(candidates, perm_seed)
-    candidates.sort(key=layer_of.__getitem__)
+    # grouped by layer in one pass, each layer in candidate order
+    buckets: list[list[int]] = [[] for _ in range(len(order) + 1)]
+    for k in candidates:
+        buckets[layer_of[k]].append(k)
+    candidates = list(itertools.chain.from_iterable(buckets))
     # bit i of the column of spanning edge e is set when candidate i goes
     # through e, and its tag 1 << e records that a row combines e.  Byte j
     # of block i holds candidates 8i..8i+7 at spanning edge j, so column j
@@ -193,22 +220,11 @@ def build_canonical_basis(
     pivots, deps = column_echelon(cols, size)
     if len(pivots) != len(deps):
         raise InternalInconsistencyError("a spanning column is dependent")
-    layers: list[list[BasisElement]] = [[] for _ in range(len(order) + 1)]
-    echelon = []
-    masks = []
-    for i in sorted(pivots):
-        k = candidates[i]
-        li = layer_of[k]
-        perm, mask, _ = table[k]
-        el = BasisElement(li, len(layers[li]), perm)
-        layers[li].append(el)
-        echelon.append((1 << i, pivots[i], el))
-        masks.append(mask)
-    echelon.reverse()
-    masks.reverse()
-    return CanonicalBasis(
-        G, order, tuple(map(tuple, layers)), perm_seed, tuple(echelon), tuple(masks)
+    kept = tuple(
+        (1 << i, pivots[i], candidates[i], layer_of[candidates[i]])
+        for i in sorted(pivots, reverse=True)
     )
+    return CanonicalBasis(G, order, None, perm_seed, kept)
 
 
 class Decomposition(_Value):
@@ -238,6 +254,8 @@ def decompose(g: PairVector, cb: CanonicalBasis) -> Decomposition:
 
     The coefficients are those of g's diagonal image over the edge basis,
     read off the basis's echelon by back-substitution; they are unique.
+    Each selected element's layer, slot and incident mask come from its
+    kept entry, so no BasisElement is built.
     The residual gc is checked in the edge space: the diagonal of a pair
     indicator is its incident mask, so gc has a zero diagonal exactly when
     the selected masks sum to g's diagonal.  When they do not, the image
@@ -248,22 +266,28 @@ def decompose(g: PairVector, cb: CanonicalBasis) -> Decomposition:
     if g.n != cb.G.n:
         raise ValueError(f"order mismatch: {g.n} vs {cb.G.n}")
     pg = diagonal(g).bits
+    table = permutation_table(g.n)
+    kept = cb._kept
     # highest pivot first, a pivot's coefficient is the parity of its row's
     # edges in pg and of its higher pivots already set; y holds both
-    y = pg << len(permutation_table(g.n))
+    y = pg << len(table)
     chosen = []
-    for (low, row, el), mask in zip(cb._echelon, cb._masks):
-        if (row & y).bit_count() & 1:
-            y |= low
-            chosen.append((el, mask))
+    for i, entry in enumerate(kept):
+        if (entry[1] & y).bit_count() & 1:
+            y |= entry[0]
+            chosen.append(i)
+    # per layer, the index in kept of its lowest pivot, slot 0
+    first = {entry[3]: i for i, entry in enumerate(kept)}
     masks = []
-    sums = [0] * len(cb.layers)
+    sums = [0] * (cb.k + 1)
     alpha = []
     residual = pg
-    for el, mask in reversed(chosen):
-        alpha.append((el.layer, el.slot))
+    for i in reversed(chosen):
+        _, _, k, li = kept[i]
+        mask = table[k][1]
+        alpha.append((li, first[li] - i))
         masks.append(mask)
-        sums[el.layer] ^= mask
+        sums[li] ^= mask
         residual ^= mask
     if residual:
         if any((pg & rel).bit_count() & 1 for rel in _spanning_edges(g.n)[1]):

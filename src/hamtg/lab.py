@@ -199,7 +199,7 @@ def _gated_reports(
     dec = _decomposed(cb, g)
     r1 = _conjecture1(cb, g_hex, dec, prefix + "c1", **tags)
     r2 = _conjecture2(cb, g_hex, dec, image_span, prefix + "c2", **tags)
-    gated = not cb.layers[0] and value_pair(g) == 1
+    gated = cb._layer0_empty and value_pair(g) == 1
     if gated and "violated" not in (r1.verdict, r2.verdict):
         raise InternalInconsistencyError(
             f"{prefix}c1/c2: value-1 supported element on a non-hamiltonian "

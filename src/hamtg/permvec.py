@@ -204,12 +204,16 @@ def is_closed_cycle(g: PairVector) -> bool:
     return diagonal(g).is_zero()
 
 
-@functools.lru_cache(maxsize=1)
 def support_mask(g: PairVector) -> int:
-    """Bitmask over edge indices whose row is nonzero.  Row e is the size
-    digits from (size - 1 - e) * size on of g's size * size digit binary
-    string, as in diagonal; a shift of g per row would copy all of g.  Kept
-    for the last g, like the diagonal."""
+    """Bitmask over edge indices whose row is nonzero."""
+    return _support_bits(g)
+
+
+@functools.lru_cache(maxsize=1)
+def _support_bits(g: PairVector) -> int:
+    """Row e is the size digits from (size - 1 - e) * size on of g's
+    size * size digit binary string, as in diagonal; a shift of g per row
+    would copy all of g.  Kept for the last g, like the diagonal."""
     size = edge_space_size(g.n)
     digits = format(g.bits, f"0{size * size}b")
     out = 0

@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import json
 import pickle
@@ -298,7 +299,7 @@ def test_builds_are_pinned():
         for perm_seed in (None, 7, 2**40 + 3):
             cb = build_canonical_basis(G, order=order, perm_seed=perm_seed)
             digest.update(repr(cb.layers).encode())
-            digest.update(repr([(low, row) for low, row, _ in cb._echelon]).encode())
+            digest.update(repr([(low, row) for low, row, _, _ in cb._kept]).encode())
     assert digest.hexdigest() == (
         "3d3ed839ffe6670dc2fa84f91b4d82bed28475aba4467ed3a12c23d09aa17479"
     )
@@ -316,6 +317,46 @@ def test_a_warm_order7_build_holds_no_list_of_n_factorial_powers_of_two():
     finally:
         tracemalloc.stop()
     assert peak < sum(sys.getsizeof(1 << i) for i in range(5040))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_an_unread_basis_decomposes_compares_and_copies_as_a_read_one(n):
+    # decompose reads the kept entries, so it builds no layers; a copy or
+    # pickle of an unread basis stays unread until compared
+    rng = random.Random(f"lazy-layers:{n}")
+    G, order = random_instance(n, rng)
+    perms = all_permutations(n)
+    p, q = rng.sample(perms, 2)
+    elements = [sample_incident_combination(G, rng), pair_indicator(p) ^ pair_indicator(q)]
+    for enum in (None, order):
+        perm_seed = rng.randrange(2**31)
+        read = build_canonical_basis(G, order=enum, perm_seed=perm_seed)
+        assert read.layers is read._layers
+        unread = build_canonical_basis(G, order=enum, perm_seed=perm_seed)
+        for g in elements:
+            assert decompose(g, unread) == decompose(g, read)
+        clones = [copy.copy(unread), copy.deepcopy(unread), pickle.loads(pickle.dumps(unread))]
+        assert unread._layers is None and all(c._layers is None for c in clones)
+        for b in (unread, *clones):
+            assert b == read and hash(b) == hash(read)
+            assert b.rank == len(b.elements) == sum(b.d)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_the_gates_layer0_read_matches_the_layers(n):
+    # order 1 keeps no element at all
+    rng = random.Random(f"layer0:{n}")
+    graphs = [TimeGraph(n), TimeGraph(n, (1 << edge_space_size(n)) - 1)]
+    graphs += [random_instance(n, rng)[0] for _ in range(3)]
+    if n > 1:
+        graphs.append(reduce_hamp(path_graph(n)))
+    for G in graphs:
+        for perm_seed in (None, 1):
+            cb = build_canonical_basis(G, perm_seed=perm_seed)
+            assert cb._layer0_empty == (not cb.layers[0])
+    if n > 1:
+        assert build_canonical_basis(graphs[0])._layer0_empty
+        assert not build_canonical_basis(graphs[1])._layer0_empty
 
 
 # ---------------------------------------------------------------------------
@@ -393,11 +434,14 @@ def test_a_wrong_mask_leaves_a_residual_that_is_not_a_closed_cycle():
     G, order = random_instance(5, rng)
     cb = build_canonical_basis(G, order=order)
     i = rng.randrange(cb.rank)
-    el = cb._echelon[i][2]
-    masks = list(cb._masks)
-    assert masks[i] == incident_mask(el.perm)
-    masks[i] ^= 1 << rng.choice(bit_indices(masks[i]))
-    tampered = type(cb)(cb.G, cb.order, cb.layers, cb.perm_seed, cb._echelon, tuple(masks))
+    el = cb.elements[cb.rank - 1 - i]  # _kept is highest pivot first
+    table = permutation_table(5)
+    low, row, k, layer = cb._kept[i]
+    assert table[k][:2] == (el.perm, incident_mask(el.perm)) and layer == el.layer
+    # the entry reads another permutation's mask
+    kept = list(cb._kept)
+    kept[i] = (low, row, (k + 1) % len(table), layer)
+    tampered = type(cb)(cb.G, cb.order, None, cb.perm_seed, tuple(kept))
     g = pair_indicator(el.perm)
     assert decompose(g, cb).alpha == ((el.layer, el.slot),)
     with pytest.raises(InternalInconsistencyError, match="residual is not a closed cycle"):

@@ -231,15 +231,32 @@ def test_campaign_reads_each_trials_support_and_diagonal_once(monkeypatch):
     lab_sums = _count_pair_sums(monkeypatch)
     canonical_sums = []
     monkeypatch.setattr(canonical, "pair_sum", lambda n, masks: canonical_sums.append(n))
-    permvec.support_mask.cache_clear()
+    permvec._support_bits.cache_clear()
     permvec._diagonal_bits.cache_clear()
     run_campaign(5, 4, 0, orders=2)
-    support = permvec.support_mask.cache_info()
+    support = permvec._support_bits.cache_info()
     assert (support.misses, support.hits) == (4, 4)
     diagonal = permvec._diagonal_bits.cache_info()
     assert diagonal.misses == 4 and diagonal.hits >= 4
     assert lab_sums == [5] * 4
     assert canonical_sums == []
+
+
+def test_campaign_constructs_no_basis_element(monkeypatch):
+    # decompose and the gate read the kept entries; BasisElements are built
+    # only when a basis's layers are read
+    made = []
+    init = canonical.BasisElement.__init__
+
+    def counted(self, *args):
+        made.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(canonical.BasisElement, "__init__", counted)
+    run_campaign(5, 4, 0, orders=2)
+    assert made == []
+    build_canonical_basis(TimeGraph(3)).layers
+    assert made
 
 
 def test_campaign_reports_are_pinned():

@@ -1,3 +1,4 @@
+import inspect
 import random
 
 import pytest
@@ -375,6 +376,13 @@ def test_support_mask_matches_per_row_reference(n, rnd):
     for bits in (0, sparse, last, sparse | last):
         want = sum(1 << e for e in range(size) if bits >> (e * size) & ((1 << size) - 1))
         assert support_mask(PairVector(n, bits)) == want
+
+
+def test_support_mask_is_a_plain_function():
+    # its cache sits on a private helper, as diagonal's does, so that
+    # bench/tracing.py, which wraps plain functions only, traces it
+    assert inspect.isfunction(support_mask)
+    assert inspect.isfunction(diagonal)
 
 
 def test_incident_combinations_are_supported():
