@@ -55,30 +55,24 @@ class CanonicalBasis(_Value):
 
     order is the enumeration of the complement, as edge indices, and
     layers holds layers 0..k of the elements.  The hidden _kept holds a
-    (pivot, row, index, layer) entry per element, highest pivot first: the
-    row is a sum of spanning columns, its lowest set bit, kept as a power
-    of two in pivot, is the element's candidate position, and its bits
-    from n! up are the edges it sums; index is the element's
-    permutation_table index.  As pivots ascend with layer, an element's
-    slot is its distance to the lowest pivot of its layer.  The layers'
-    BasisElements are built from _kept on first read and then kept in the
-    hidden _layers.
+    (pivot, row, index, layer, slot) entry per element, highest pivot
+    first: the row is a sum of spanning columns, its lowest set bit, kept
+    as a power of two in pivot, is the element's candidate position, and
+    its bits from n! up are the edges it sums; index is the element's
+    permutation_table index.  The layers' BasisElements are built from
+    _kept on each read.
     """
 
     _fields = ("G", "order", "layers", "perm_seed")
-    __slots__ = ("G", "order", "_layers", "perm_seed", "_kept")
+    __slots__ = ("G", "order", "perm_seed", "_kept")
 
     @property
     def layers(self) -> tuple[tuple[BasisElement, ...], ...]:
-        layers = self._layers
-        if layers is None:
-            table = permutation_table(self.G.n)
-            out: list[list[BasisElement]] = [[] for _ in range(self.k + 1)]
-            for _, _, k, li in reversed(self._kept):
-                out[li].append(BasisElement(li, len(out[li]), table[k][0]))
-            layers = tuple(map(tuple, out))
-            _set(self, "_layers", layers)
-        return layers
+        table = permutation_table(self.G.n)
+        out: list[list[BasisElement]] = [[] for _ in range(self.k + 1)]
+        for _, _, k, li, slot in reversed(self._kept):
+            out[li].append(BasisElement(li, slot, table[k][0]))
+        return tuple(map(tuple, out))
 
     @property
     def k(self) -> int:
@@ -181,8 +175,9 @@ def build_canonical_basis(
     The kept candidates are the rank profile of their incidence rows, read
     off one column_echelon of the spanning edges' columns, which are
     transposed out of the lane table (_lanes) eight candidates at a time.
-    The basis keeps their echelon entries; its BasisElements are built
-    only when its layers are read.
+    The basis keeps their echelon entries, each with its slot: pivots
+    ascend with layer, so the ascending walk counts slots per layer.  Its
+    BasisElements are built only when its layers are read.
     """
     check_perm_cap(G.n)
     order = _checked_order(G, order)
@@ -200,7 +195,9 @@ def build_canonical_basis(
     buckets: list[list[int]] = [[] for _ in range(len(order) + 1)]
     for k in candidates:
         buckets[layer_of[k]].append(k)
-    candidates = list(itertools.chain.from_iterable(buckets))
+    candidates.clear()
+    candidates.extend(itertools.chain.from_iterable(buckets))
+    del buckets  # n! entries, not kept through the elimination
     # bit i of the column of spanning edge e is set when candidate i goes
     # through e, and its tag 1 << e records that a row combines e.  Byte j
     # of block i holds candidates 8i..8i+7 at spanning edge j, so column j
@@ -220,11 +217,15 @@ def build_canonical_basis(
     pivots, deps = column_echelon(cols, size)
     if len(pivots) != len(deps):
         raise InternalInconsistencyError("a spanning column is dependent")
-    kept = tuple(
-        (1 << i, pivots[i], candidates[i], layer_of[candidates[i]])
-        for i in sorted(pivots, reverse=True)
-    )
-    return CanonicalBasis(G, order, None, perm_seed, kept)
+    slots = [0] * (len(order) + 1)
+    kept = []
+    for i in sorted(pivots):
+        k = candidates[i]
+        li = layer_of[k]
+        kept.append((1 << i, pivots[i], k, li, slots[li]))
+        slots[li] += 1
+    kept.reverse()
+    return CanonicalBasis(G, order, perm_seed, tuple(kept))
 
 
 class Decomposition(_Value):
@@ -267,25 +268,21 @@ def decompose(g: PairVector, cb: CanonicalBasis) -> Decomposition:
         raise ValueError(f"order mismatch: {g.n} vs {cb.G.n}")
     pg = diagonal(g).bits
     table = permutation_table(g.n)
-    kept = cb._kept
     # highest pivot first, a pivot's coefficient is the parity of its row's
     # edges in pg and of its higher pivots already set; y holds both
     y = pg << len(table)
     chosen = []
-    for i, entry in enumerate(kept):
+    for entry in cb._kept:
         if (entry[1] & y).bit_count() & 1:
             y |= entry[0]
-            chosen.append(i)
-    # per layer, the index in kept of its lowest pivot, slot 0
-    first = {entry[3]: i for i, entry in enumerate(kept)}
+            chosen.append(entry)
     masks = []
     sums = [0] * (cb.k + 1)
     alpha = []
     residual = pg
-    for i in reversed(chosen):
-        _, _, k, li = kept[i]
+    for _, _, k, li, slot in reversed(chosen):
         mask = table[k][1]
-        alpha.append((li, first[li] - i))
+        alpha.append((li, slot))
         masks.append(mask)
         sums[li] ^= mask
         residual ^= mask

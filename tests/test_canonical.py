@@ -299,7 +299,7 @@ def test_builds_are_pinned():
         for perm_seed in (None, 7, 2**40 + 3):
             cb = build_canonical_basis(G, order=order, perm_seed=perm_seed)
             digest.update(repr(cb.layers).encode())
-            digest.update(repr([(low, row) for low, row, _, _ in cb._kept]).encode())
+            digest.update(repr([(low, row) for low, row, *_ in cb._kept]).encode())
     assert digest.hexdigest() == (
         "3d3ed839ffe6670dc2fa84f91b4d82bed28475aba4467ed3a12c23d09aa17479"
     )
@@ -321,8 +321,8 @@ def test_a_warm_order7_build_holds_no_list_of_n_factorial_powers_of_two():
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_an_unread_basis_decomposes_compares_and_copies_as_a_read_one(n):
-    # decompose reads the kept entries, so it builds no layers; a copy or
-    # pickle of an unread basis stays unread until compared
+    # decompose reads the kept entries, so it builds no layers; reading
+    # them, comparing or hashing leaves every slot as it was
     rng = random.Random(f"lazy-layers:{n}")
     G, order = random_instance(n, rng)
     perms = all_permutations(n)
@@ -331,15 +331,16 @@ def test_an_unread_basis_decomposes_compares_and_copies_as_a_read_one(n):
     for enum in (None, order):
         perm_seed = rng.randrange(2**31)
         read = build_canonical_basis(G, order=enum, perm_seed=perm_seed)
-        assert read.layers is read._layers
+        slots = [getattr(read, f) for f in type(read).__slots__]
+        assert sum(map(len, read.layers)) == read.rank
         unread = build_canonical_basis(G, order=enum, perm_seed=perm_seed)
         for g in elements:
             assert decompose(g, unread) == decompose(g, read)
         clones = [copy.copy(unread), copy.deepcopy(unread), pickle.loads(pickle.dumps(unread))]
-        assert unread._layers is None and all(c._layers is None for c in clones)
         for b in (unread, *clones):
             assert b == read and hash(b) == hash(read)
             assert b.rank == len(b.elements) == sum(b.d)
+        assert [getattr(read, f) for f in type(read).__slots__] == slots
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -436,12 +437,13 @@ def test_a_wrong_mask_leaves_a_residual_that_is_not_a_closed_cycle():
     i = rng.randrange(cb.rank)
     el = cb.elements[cb.rank - 1 - i]  # _kept is highest pivot first
     table = permutation_table(5)
-    low, row, k, layer = cb._kept[i]
-    assert table[k][:2] == (el.perm, incident_mask(el.perm)) and layer == el.layer
+    low, row, k, layer, slot = cb._kept[i]
+    assert table[k][:2] == (el.perm, incident_mask(el.perm))
+    assert (layer, slot) == (el.layer, el.slot)
     # the entry reads another permutation's mask
     kept = list(cb._kept)
-    kept[i] = (low, row, (k + 1) % len(table), layer)
-    tampered = type(cb)(cb.G, cb.order, None, cb.perm_seed, tuple(kept))
+    kept[i] = (low, row, (k + 1) % len(table), layer, slot)
+    tampered = type(cb)(cb.G, cb.order, cb.perm_seed, tuple(kept))
     g = pair_indicator(el.perm)
     assert decompose(g, cb).alpha == ((el.layer, el.slot),)
     with pytest.raises(InternalInconsistencyError, match="residual is not a closed cycle"):
